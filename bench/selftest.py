@@ -1,4 +1,4 @@
-"""Fast self-test of the benchmark at tiny sizes (about a minute).
+"""Fast self-test of the benchmark at tiny sizes (about 15 seconds).
 
     python3 bench/selftest.py
 
