@@ -43,7 +43,8 @@ def _require(condition, reason):
 
 def _read_csv(path, header):
     with open(path, newline="") as handle:
-        rows = list(csv.reader(line for line in handle if not line.startswith("#")))
+        lines = handle.read().splitlines()
+    rows = list(csv.reader([line for line in lines if not line.startswith("#")]))
     _require(rows and rows[0] == header, f"{path}: header {rows[:1]} is not {header}")
     return rows[1:]
 
@@ -92,16 +93,19 @@ def check_sample(path, detector, u, photons, shots, t, statistical=True):
     modes = u.shape[0]
     rows = _read_csv(path, ["shot", "outcome"])
     _require(len(rows) == shots, f"{path}: {len(rows)} rows, expected {shots}")
-    for shot, row in enumerate(rows):
-        _require(len(row) == 2 and row[0] == str(shot), f"{path}: bad row {shot}: {row}")
+    _require(set(map(len, rows)) == {2}, f"{path}: a row does not have 2 fields")
+    shot_column = [row[0] for row in rows]
+    if shot_column != list(map(str, range(shots))):
+        bad = next(i for i, s in enumerate(shot_column) if s != str(i))
+        raise CheckFailed(f"{path}: bad row {bad}: {rows[bad]}")
     outcomes = [row[1] for row in rows]
     if detector == "dprcv1":
+        chars = np.frombuffer("".join(outcomes).encode(), dtype=np.uint8)
         _require(
-            all(len(o) == modes and set(o) <= {"0", "1"} for o in outcomes),
+            set(map(len, outcomes)) == {modes} and np.all((chars == 48) | (chars == 49)),
             f"{path}: outcome is not a {modes}-mode click pattern",
         )
-        clicks = np.frombuffer("".join(outcomes).encode(), dtype=np.uint8).reshape(shots, modes)
-        clicks = clicks - ord("0")
+        clicks = chars.reshape(shots, modes) - ord("0")
         threshold = t
     else:
         width = modes if detector == "prcv1" else 2 * modes

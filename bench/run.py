@@ -177,9 +177,16 @@ def _call_main(op, recorder=None):
         return None
 
 
-def ops_per_s(ops):
-    """Ops completed per second spent in them."""
-    return len(ops) / sum(op.wall for op in ops)
+def ops_per_s(ops, per_cycle):
+    """Ops completed per second, at the median wall time of a whole cycle.
+
+    A median rather than the window mean, so that one op caught in a slow
+    spell of the shared host does not move the run's figure.
+    """
+    cycles = {}
+    for op in ops:
+        cycles[op.cycle] = cycles.get(op.cycle, 0.0) + op.wall
+    return per_cycle / statistics.median(cycles.values())
 
 
 def check_op(op):
@@ -292,7 +299,7 @@ def run_workload(name, commands, seed, seconds, trace, setup_repeats=SETUP_REPEA
         "op_wall_s": {c.label: [op.wall for op in plain if op.command is c] for c in commands},
         "end_to_end": {
             "setup_s": statistics.median(setup),
-            "ops_per_s": ops_per_s(plain),
+            "ops_per_s": ops_per_s(plain, per_cycle),
             "first_cmd_s": statistics.median(op.wall for op in plain if op.command is commands[0]),
             "last_cmd_s": statistics.median(op.wall for op in plain if op.command is commands[-1]),
             "peak_rss_mb": peak_rss_mb,
@@ -301,7 +308,7 @@ def run_workload(name, commands, seed, seconds, trace, setup_repeats=SETUP_REPEA
     if trace:
         recorder.write(workdir / "spans.json")
         traced_ops = [op for op in done if traced(op)]
-        result["traced_ops_per_s"] = ops_per_s(traced_ops)
+        result["traced_ops_per_s"] = ops_per_s(traced_ops, per_cycle)
         result["per_layer"] = per_layer_metrics(recorder, traced_ops)
         result["per_layer"]["trace.overhead_ops_per_s"] = (
             result["traced_ops_per_s"] - result["end_to_end"]["ops_per_s"])
@@ -370,7 +377,8 @@ def report(result, spec, commands):
           f"{result['ops']} untraced ops in {result['cycles']} cycles, {result['window_s']:.2f} s")
     print(f"  setup_s = {e2e['setup_s']:.4f} s (median of {len(result['setup_s_samples'])} "
           "fresh interpreters)")
-    print(f"  ops_per_s = {e2e['ops_per_s']:.4f} 1/s")
+    print(f"  ops_per_s = {e2e['ops_per_s']:.4f} 1/s ({len(commands)} ops / median cycle wall "
+          f"of {result['cycles']} cycles; window mean {result['ops'] / result['window_s']:.4f})")
     for position, command in (("first_cmd_s", commands[0]), ("last_cmd_s", commands[-1])):
         walls = result["op_wall_s"][command.label]
         tail = tail_percentile(walls)
