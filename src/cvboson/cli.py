@@ -31,6 +31,9 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_INVARIANT = 3
 
+# shots formatted per chunk of a streamed sample CSV
+SAMPLE_CHUNK = 1 << 14
+
 
 class UsageError(Exception):
     pass
@@ -83,9 +86,10 @@ def _cmd_exact_dist(args):
     }
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
+    modes = table.modes
     rows = [
-        ["".join(map(str, pattern)), probability]
-        for pattern, probability in table.entries.items()
+        [format(index, f"0{modes}b"), probability]
+        for index, probability in enumerate(table.probabilities().tolist())
     ]
     if args.out:
         write_csv(args.out, ["pattern", "probability"], rows, meta)
@@ -95,14 +99,62 @@ def _cmd_exact_dist(args):
     return EXIT_OK
 
 
-def _format_outcome(kind, row):
-    if kind == "dprcv1":
-        return "".join(str(int(x)) for x in row)
-    if kind == "fock":
-        return ",".join(str(int(x)) for x in row)
-    if kind == "prcv1":
-        return ",".join(fmt17(x) for x in row)
-    return ",".join(f"{fmt17(x.real)},{fmt17(x.imag)}" for x in row)
+def _digit_lines(first, values, sep):
+    """`shot,outcome` CSV lines for rows of single-digit counts, built as bytes.
+
+    Each line is laid out in a fixed-width uint8 row: the shot number right
+    aligned in a field padded with NUL bytes, the outcome digits (joined by
+    commas and quoted when `sep`, as the csv module quotes a comma-holding
+    cell), then CRLF. Dropping the NUL padding leaves the lines back to back.
+    """
+    count, width = values.shape
+    shots = np.arange(first, first + count)
+    places = len(str(first + count - 1))
+    quote = sep and width > 1
+    cell = 2 * width - 1 if quote else width
+    line = np.zeros((count, places + 1 + quote * 2 + cell + 2), dtype=np.uint8)
+    for place in range(places):
+        power = 10 ** (places - 1 - place)
+        digit = (shots // power) % 10 + ord("0")
+        line[:, place] = np.where((shots >= power) | (power == 1), digit, 0)
+    line[:, places] = ord(",")
+    start = places + 1 + quote
+    if quote:
+        line[:, start - 1] = line[:, start + cell] = ord('"')
+        line[:, start + 1 : start + cell : 2] = ord(",")
+        line[:, start : start + cell : 2] = values + ord("0")
+    else:
+        line[:, start : start + cell] = values + ord("0")
+    line[:, -2:] = (ord("\r"), ord("\n"))
+    flat = line.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _float_lines(first, values):
+    """`shot,outcome` CSV lines for rows of floats, each rendered as fmt17 does."""
+    count, width = values.shape
+    cell = ",".join(["%.17g"] * width)
+    line = f'%d,"{cell}"\r\n' if width > 1 else f"%d,{cell}\r\n"
+    fields = np.empty((count, width + 1), dtype=object)
+    fields[:, 0] = range(first, first + count)
+    fields[:, 1:] = values.tolist()
+    return (line * count) % tuple(fields.ravel())
+
+
+def _outcome_lines(kind, outcomes):
+    """CSV text of the `shot,outcome` rows of a batch, one str per chunk of shots.
+
+    dprcv1 outcomes are 0/1 strings, fock outcomes comma-joined occupations,
+    prcv1 outcomes comma-joined radii and cv1 outcomes comma-joined re/im
+    pairs; the bytes are those csv.writer gives for these cells. Occupations
+    are single digits because the fock sampler is guarded at N <= 4 photons.
+    """
+    for first in range(0, len(outcomes), SAMPLE_CHUNK):
+        chunk = outcomes[first : first + SAMPLE_CHUNK]
+        if kind in ("dprcv1", "fock"):
+            yield _digit_lines(first, chunk, sep=kind == "fock")
+        else:
+            yield _float_lines(first, chunk.view(np.float64) if kind == "cv1" else chunk)
 
 
 def _cmd_sample(args):
@@ -141,11 +193,7 @@ def _cmd_sample(args):
         meta["grid_angular"] = args.grid_angular
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
-    rows = [
-        [shot, _format_outcome(batch.kind, row)]
-        for shot, row in enumerate(batch.outcomes)
-    ]
-    write_csv(args.out, ["shot", "outcome"], rows, meta)
+    write_csv(args.out, ["shot", "outcome"], _outcome_lines(batch.kind, batch.outcomes), meta)
     return EXIT_OK
 
 

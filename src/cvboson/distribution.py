@@ -12,10 +12,10 @@ with multiply-occupied modes.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import GuardLimitError, InvalidPatternError
 from .fock import (
@@ -24,6 +24,7 @@ from .fock import (
     enumerate_fock_patterns,
     fock_amplitude,
 )
+from .permanent import permanent_ryser_batch
 from .povm import DetectorConfig, g_function, prcv_povm_diag
 
 DENSITY_MAX_MODES = 10
@@ -48,18 +49,37 @@ def check_click_pattern(pattern, modes=None):
     return pattern
 
 
+def check_threshold(t):
+    """Validate a click threshold: positive and finite."""
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"threshold must be positive and finite, got {t}")
+    return float(t)
+
+
 def amplitude_table(u, photons):
     """All transition amplitudes for `photons` photons through U.
 
     Returns (patterns, amplitudes) over enumerate_fock_patterns(M, photons);
-    the squared amplitudes sum to one.
+    the squared amplitudes sum to one. The submatrix of every pattern (first
+    N rows, column j repeated n_j times) is stacked and all permanents come
+    from one batched Ryser run; each amplitude equals fock_amplitude of its
+    pattern bit for bit.
     """
     u = check_unitary(u)
     modes = u.shape[0]
     if photons > modes:
         raise InvalidPatternError(f"need N <= M, got N={photons}, M={modes}")
     patterns = enumerate_fock_patterns(modes, photons)
-    amps = np.array([fock_amplitude(u, p) for p in patterns], dtype=complex)
+    occ = np.asarray(patterns)
+    # column indices of each submatrix: mode j repeated n_j times, ascending
+    cols = np.repeat(np.tile(np.arange(modes), len(patterns)), occ.ravel())
+    cols = cols.reshape(len(patterns), photons)
+    perms = permanent_ryser_batch(u[:photons][:, cols].transpose(1, 0, 2))
+    factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=float)
+    norm = np.sqrt(factorials[occ].prod(axis=1))
+    amps = np.empty(len(patterns), dtype=complex)
+    amps.real = perms.real / norm
+    amps.imag = perms.imag / norm
     return patterns, amps
 
 
@@ -143,8 +163,7 @@ def prob_dprcv(u, clicks, t, photons):
     P(m) = sum_n |amp(n)|^2 prod_{m_j=1} G(t, n_j) prod_{m_j=0} (1 - G(t, n_j)).
     Defined for any click count; the 2^M probabilities sum to one.
     """
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    t = check_threshold(t)
     u = check_unitary(u)
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes=modes)
@@ -157,42 +176,78 @@ def prob_dprcv(u, clicks, t, photons):
     return float((weights * factors.prod(axis=1)).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Full click-pattern distribution for one detector setting."""
+    """Full click-pattern distribution for one detector setting.
+
+    probs[i] is the probability of the click pattern whose bits, mode 0
+    first, are the M binary digits of i; that is lexicographic pattern order.
+    The array is read-only. Tables compare by identity (an array field has no
+    single truth value).
+    """
 
     detector: DetectorConfig
-    entries: dict
+    probs: np.ndarray
     normalization_residual: float
 
+    @property
+    def modes(self):
+        return self.probs.size.bit_length() - 1
+
     def patterns(self):
-        return tuple(self.entries.keys())
+        return tuple(itertools.product((0, 1), repeat=self.modes))
 
     def probabilities(self):
-        return np.array(list(self.entries.values()))
+        return self.probs
+
+
+def _click_table(weights, occ, g_vals, gbar_vals):
+    """sum_n w_n prod_j f_j(m_j, n_j) for all 2^M click patterns m.
+
+    f_j(1, k) = G(t, k) and f_j(0, k) = 1 - G(t, k). The per-pattern products
+    are built mode by mode: the products over the first M // 2 modes (the
+    high-order bits of the pattern index) are formed once, then each one is
+    extended over the remaining modes as a cache-sized block. Factors are
+    multiplied in mode order and the weighted terms summed per pattern as
+    prob_dprcv does, so every entry equals prob_dprcv of its pattern bit for
+    bit.
+    """
+    count, modes = occ.shape
+    # factors[j, c]: mode j's factor at click bit c for every occupation pattern
+    factors = np.stack([gbar_vals[occ.T], g_vals[occ.T]], axis=1)
+
+    def extend(products, j):
+        # C order keeps each pattern's terms contiguous, so the row sums below
+        # take the same pairwise path as prob_dprcv's one-dimensional sum
+        return np.multiply(products[:, None, :], factors[j], order="C").reshape(-1, count)
+
+    head_modes = modes // 2
+    head = np.ones((1, count))
+    for j in range(head_modes):
+        head = extend(head, j)
+    out = np.empty((len(head), 1 << (modes - head_modes)))
+    for row, prefix in zip(out, head):
+        block = prefix[None, :]
+        for j in range(head_modes, modes):
+            block = extend(block, j)
+        row[:] = (weights * block).sum(axis=1)
+    return out.ravel()
 
 
 def distribution_table(u, photons, t):
     """Exact probabilities of all 2^M click patterns, in lexicographic order."""
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    t = check_threshold(t)
     u = check_unitary(u)
     modes = u.shape[0]
     _guard_scale(modes, photons, TABLE_MAX_MODES)
     patterns, amps = amplitude_table(u, photons)
     weights = np.abs(amps) ** 2
     g_vals, gbar_vals = _click_factors(t, photons)
-    occ = np.asarray(patterns)
-    g_occ = g_vals[occ]
-    gbar_occ = gbar_vals[occ]
-    entries = {}
-    for clicks in itertools.product((0, 1), repeat=modes):
-        click_row = np.asarray(clicks, dtype=bool)
-        factors = np.where(click_row[None, :], g_occ, gbar_occ)
-        entries[clicks] = float((weights * factors.prod(axis=1)).sum())
-    residual = abs(sum(entries.values()) - 1.0)
+    probs = _click_table(weights, np.asarray(patterns), g_vals, gbar_vals)
+    probs.flags.writeable = False
+    residual = abs(math.fsum(probs) - 1.0)
     detector = DetectorConfig(ancilla_n=1, threshold_t=t)
-    return DistributionTable(detector=detector, entries=entries, normalization_residual=residual)
+    return DistributionTable(detector=detector, probs=probs, normalization_residual=residual)
 
 
 def leading_order(u, clicks, t, photons=None):
@@ -213,8 +268,7 @@ def leading_order(u, clicks, t, photons=None):
         raise InvalidPatternError(
             f"pattern has {n_clicks} clicks but {photons} photons were requested"
         )
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    t = check_threshold(t)
     leading = abs(fock_amplitude(u, clicks)) ** 2 * t**n_clicks
     neighbor_mass = 0.0
     ones = [j for j, m in enumerate(clicks) if m == 1]
@@ -242,6 +296,8 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
     numerically over [0, t] (click) or [t, R_max] (no click), with R_max
     chosen per Fock level so the neglected tail is below tail_eps.
     """
+    from scipy import integrate
+
     u = check_unitary(u)
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes=modes)

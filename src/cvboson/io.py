@@ -80,8 +80,12 @@ def read_unitary_json(path):
 def write_csv(path, columns, rows, meta=None):
     """Write a CSV with `# key=value` metadata lines above the column header.
 
-    Floats are rendered via fmt17; other cell types are written as-is (the
-    csv module quotes embedded commas).
+    `rows` is any iterable, consumed as the file is written. Each item is
+    either a row of cells or a str of complete, already formatted CSV lines
+    (each ending in CRLF, as csv rows do), written as-is so that large
+    outputs stream in formatted chunks. In rows, floats are rendered via
+    fmt17 and other cell types are written as-is (the csv module quotes
+    embedded commas).
     """
     with _atomic_writer(path) as handle:
         for key, value in dict(meta or {}, version=VERSION).items():
@@ -89,9 +93,12 @@ def write_csv(path, columns, rows, meta=None):
         writer = csv.writer(handle)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow(
-                [fmt17(cell) if isinstance(cell, float) else cell for cell in row]
-            )
+            if isinstance(row, str):
+                handle.write(row)
+            else:
+                writer.writerow(
+                    [fmt17(cell) if isinstance(cell, float) else cell for cell in row]
+                )
 
 
 def read_csv(path):

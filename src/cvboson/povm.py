@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .fock import displacement_element
 from .special import (
@@ -211,6 +210,8 @@ def prcv_completeness_residual(ancilla_n, cutoff, r_max, epsabs=1e-12):
     quadrature; decreasing in r_max with an e^{-r_max} poly(r_max) tail.
     Raises if the quadrature cannot certify the requested accuracy.
     """
+    from scipy import integrate
+
     if not r_max > 0:
         raise ValueError(f"r_max must be positive, got {r_max}")
     residuals = np.empty(cutoff + 1)

@@ -6,12 +6,13 @@ the shot range is chunked across threads.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import amplitude_table, distribution_table
+from .distribution import amplitude_table, check_threshold, distribution_table
 from .errors import GuardLimitError
 from .fock import check_unitary
 from .povm import DetectorConfig
@@ -41,9 +42,20 @@ class SampleBatch:
     kind: str = ""
 
 
+def _check_shots(shots):
+    if shots < 0:
+        raise ValueError("shots must be >= 0")
+
+
+def _thread_count(threads, shots):
+    """Worker threads actually used: the request capped at the CPU count and
+    the shot count, and at least one."""
+    return max(1, min(int(threads), os.cpu_count() or 1, shots))
+
+
 def _run_chunked(worker, shots, threads):
     """Assemble worker(first, count) chunks; identical output for any chunking."""
-    threads = max(1, int(threads))
+    threads = _thread_count(threads, shots)
     if threads == 1 or shots < 2 * threads:
         return worker(0, shots)
     bounds = np.linspace(0, shots, threads + 1, dtype=int)
@@ -63,6 +75,7 @@ def _inverse_cdf_draw(cdf, u):
 
 def sample_fock(u, photons, shots, seed, threads=1):
     """I.i.d. occupation patterns from the exact squared-amplitude table."""
+    _check_shots(shots)
     u = check_unitary(u)
     modes = u.shape[0]
     if modes > FOCK_MAX_MODES or photons > FOCK_MAX_PHOTONS:
@@ -82,17 +95,24 @@ def sample_fock(u, photons, shots, seed, threads=1):
 
 
 def sample_dprcv1(u, photons, t, shots, seed, threads=1):
-    """I.i.d. click patterns from the exact 2^M discretized-detector table."""
+    """I.i.d. click patterns from the exact 2^M discretized-detector table.
+
+    A drawn table index is decoded to its click bits directly (mode 0 is the
+    most significant bit).
+    """
+    _check_shots(shots)
+    t = check_threshold(t)
     u = check_unitary(u)
-    if u.shape[0] > DPRCV_MAX_MODES:
+    modes = u.shape[0]
+    if modes > DPRCV_MAX_MODES:
         raise GuardLimitError(f"dprcv1 sampler guarded at M <= {DPRCV_MAX_MODES}")
     table = distribution_table(u, photons, t)
-    pattern_array = np.asarray(table.patterns(), dtype=int)
     cdf = np.cumsum(table.probabilities())
+    shifts = np.arange(modes - 1, -1, -1)
 
     def worker(first, count):
         uniforms = shot_uniforms(seed, count, 1, first)[:, 0]
-        return pattern_array[_inverse_cdf_draw(cdf, uniforms)]
+        return (_inverse_cdf_draw(cdf, uniforms)[:, None] >> shifts) & 1
 
     outcomes = _run_chunked(worker, shots, threads)
     return SampleBatch(
@@ -127,6 +147,7 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
     amplitudes, then each mode's radius inverts its Fock-level click CDF
     G(., n_j) by bracketed bisection (radius tolerance 1e-12).
     """
+    _check_shots(shots)
     u = check_unitary(u)
     modes = u.shape[0]
     if modes > DPRCV_MAX_MODES or photons > FOCK_MAX_PHOTONS:
@@ -195,6 +216,7 @@ def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threa
     a cell is drawn by inverse CDF over the grid. Exact up to the grid
     discretization.
     """
+    _check_shots(shots)
     u = check_unitary(u)
     modes = u.shape[0]
     if modes > CV_MAX_MODES or photons > CV_MAX_PHOTONS:

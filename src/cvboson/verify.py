@@ -224,19 +224,17 @@ def _check_coarse_graining(full):
     t = 0.4
     shots = 30_000 if full else 10_000
     radial = sample_prcv1(u, 1, shots, 37)
-    coarse = (radial.outcomes <= t).astype(int)
-    table = distribution_table(u, 1, t)
-    counts = {}
-    for row in map(tuple, coarse):
-        counts[row] = counts.get(row, 0) + 1
-    statistic = 0.0
-    for pattern, prob in table.entries.items():
-        expected = prob * shots
-        if expected >= 5:
-            statistic += (counts.get(pattern, 0) - expected) ** 2 / expected
+    clicks = (radial.outcomes <= t).astype(int)
+    probs = distribution_table(u, 1, t).probabilities()
+    # table index of each coarse-grained pattern: mode 0 is the high-order bit
+    index = clicks @ (1 << np.arange(clicks.shape[1] - 1, -1, -1))
+    observed = np.bincount(index, minlength=probs.size)
+    expected = probs * shots
+    used = expected >= 5
+    statistic = float(((observed[used] - expected[used]) ** 2 / expected[used]).sum())
     from scipy import stats
 
-    p_value = stats.chi2.sf(statistic, max(1, len(table.entries) - 1))
+    p_value = stats.chi2.sf(statistic, max(1, probs.size - 1))
     return p_value > 0.001, f"chi-square p = {p_value:.4f}"
 
 

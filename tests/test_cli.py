@@ -1,10 +1,18 @@
 """Tests for file formats and the command-line interface."""
 
+import csv
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvboson import cli
 from cvboson.cli import main
 from cvboson.fock import haar_unitary
 from cvboson.io import fmt17, read_csv, read_unitary_json, write_csv, write_unitary_json
@@ -346,3 +354,135 @@ class TestCli:
             ]
         )
         assert first.read_bytes() == second.read_bytes()
+
+
+# sha256 of small seeded output files, pinned before the sample and exact-dist
+# paths were vectorised; any change to their bytes is a format change.
+GOLDEN_OUTPUTS = {
+    "fock": (
+        ["sample", "--photons", "2", "--detector", "fock", "--shots", "300", "--seed", "11"],
+        "c71982afd767d6645759788d44721fb2aabd99e1d7569e1315ea6978deebc003",
+    ),
+    "dprcv1": (
+        ["sample", "--photons", "3", "--detector", "dprcv1", "--t", "0.2",
+         "--shots", "300", "--seed", "12"],
+        "05cedb6a495a695e7104ba590b1a731dfb2484cff9c746c5e1a188b876c5aac6",
+    ),
+    "prcv1": (
+        ["sample", "--photons", "2", "--detector", "prcv1", "--shots", "40", "--seed", "13"],
+        "8ff4f36a97e5228867a651688069f30d1ff22e1c5bc7e4ea4c04eff5b1813fb2",
+    ),
+    "cv1": (
+        ["sample", "--photons", "2", "--detector", "cv1", "--shots", "4", "--seed", "14",
+         "--grid-radial", "64", "--grid-angular", "32"],
+        "d1634b3cb90961ab84dc30e1b6f7acb637a166b7660fd6802de50364a5ccfa08",
+    ),
+    "exact-dist": (
+        ["exact-dist", "--photons", "3", "--t", "0.05"],
+        "a748b49ac9bf308d30feb9961e7e190cfdc05d0ce5f5e470d266bd379812c4af",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_output_bytes_match_golden_hash(name, tmp_path, monkeypatch):
+    # relative paths keep the `unitary=` header line independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    modes = "3" if name == "cv1" else "5"
+    assert main(["gen-unitary", "--modes", modes, "--seed", "3", "--out", "u.json"]) == 0
+    argv, digest = GOLDEN_OUTPUTS[name]
+    argv = argv[:1] + ["--unitary", "u.json"] + argv[1:] + ["--out", "out.csv"]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+def _csv_writer_lines(kind, outcomes):
+    """The sample rows as csv.writer renders them, one Python call per cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    for shot, row in enumerate(outcomes):
+        if kind == "dprcv1":
+            cell = "".join(str(int(x)) for x in row)
+        elif kind == "fock":
+            cell = ",".join(str(int(x)) for x in row)
+        elif kind == "prcv1":
+            cell = ",".join(fmt17(x) for x in row)
+        else:
+            cell = ",".join(f"{fmt17(x.real)},{fmt17(x.imag)}" for x in row)
+        writer.writerow([shot, cell])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["dprcv1", "fock", "prcv1", "cv1"])
+@pytest.mark.parametrize("modes", [1, 2, 5])
+def test_chunked_outcome_lines_match_csv_writer(kind, modes, monkeypatch):
+    # a small chunk makes the shot numbers cross 10, 100 and 1000 within and
+    # across chunks
+    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 97)
+    rng = np.random.default_rng(modes)
+    shots = 1203
+    if kind == "dprcv1":
+        outcomes = rng.integers(0, 2, (shots, modes))
+    elif kind == "fock":
+        outcomes = rng.integers(0, 5, (shots, modes))
+    else:
+        scale = 10.0 ** rng.integers(-30, 30, (shots, 2 * modes))
+        values = rng.standard_normal((shots, 2 * modes)) * scale
+        values[0, 0], values[1, -1] = -0.0, 1e308
+        outcomes = np.abs(values[:, :modes]) if kind == "prcv1" else values.view(complex)
+    lines = "".join(cli._outcome_lines(kind, outcomes)).splitlines(keepends=True)
+    assert lines == _csv_writer_lines(kind, outcomes).splitlines(keepends=True)
+
+
+def test_sample_with_no_shots_writes_header_only(tmp_path):
+    upath = tmp_path / "u.json"
+    main(["gen-unitary", "--modes", "3", "--seed", "5", "--out", str(upath)])
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--unitary", str(upath), "--photons", "1", "--detector",
+                 "dprcv1", "--t", "0.1", "--shots", "0", "--seed", "1", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["shot", "outcome"] and rows == []
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--detector", "fock", "--shots", "-1"], "shots must be >= 0"),
+        (["--detector", "dprcv1", "--t", "0.1", "--shots", "-1"], "shots must be >= 0"),
+        (["--detector", "prcv1", "--shots", "-1"], "shots must be >= 0"),
+        (["--detector", "cv1", "--shots", "-1"], "shots must be >= 0"),
+        (["--detector", "dprcv1", "--t", "inf", "--shots", "5"], "positive and finite"),
+        (["--detector", "dprcv1", "--t", "nan", "--shots", "5"], "positive and finite"),
+    ],
+)
+def test_invalid_sample_input_is_usage_error(flags, message, tmp_path, capsys):
+    upath = tmp_path / "u.json"
+    main(["gen-unitary", "--modes", "2", "--seed", "5", "--out", str(upath)])
+    capsys.readouterr()
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--unitary", str(upath), "--photons", "1", "--seed", "1", "--out", str(out)]
+    assert main(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_dist_rejects_infinite_threshold(tmp_path, capsys):
+    upath = tmp_path / "u.json"
+    main(["gen-unitary", "--modes", "2", "--seed", "5", "--out", str(upath)])
+    assert main(["exact-dist", "--unitary", str(upath), "--photons", "1", "--t", "inf"]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    import cvboson
+
+    src = str(Path(cvboson.__file__).resolve().parents[1])
+    code = "import sys, cvboson, cvboson.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from cvboson.distribution import (
@@ -25,6 +27,7 @@ from cvboson.distribution import (
 )
 from cvboson.errors import GuardLimitError, InvalidPatternError
 from cvboson.fock import enumerate_fock_patterns, fock_amplitude, haar_unitary
+from cvboson.permanent import permanent_naive
 from cvboson.special import detector_efficiency, g_function
 
 
@@ -183,6 +186,33 @@ class TestDistributionTable:
         with pytest.raises(GuardLimitError):
             distribution_table(haar_unitary(13, 0), 1, 0.1)
 
+    @pytest.mark.parametrize(
+        "modes,photons,seed,t",
+        [(1, 1, 0, 0.3), (2, 2, 1, 0.05), (3, 1, 2, 1.5), (5, 3, 3, 0.01), (7, 4, 4, 0.2),
+         (8, 3, 5, 0.02), (8, 4, 6, 0.6)],
+    )
+    def test_every_entry_matches_prob_dprcv(self, modes, photons, seed, t):
+        u = haar_unitary(modes, seed)
+        probs = distribution_table(u, photons, t).probabilities()
+        assert probs.shape == (2**modes,)
+        expected = np.array(
+            [prob_dprcv(u, m, t, photons) for m in itertools.product((0, 1), repeat=modes)]
+        )
+        np.testing.assert_allclose(probs, expected, rtol=1e-14, atol=0)
+
+    def test_probability_array_is_read_only(self):
+        probs = distribution_table(haar_unitary(3, 1), 2, 0.1).probabilities()
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+    def test_non_finite_or_non_positive_threshold_rejected(self, t):
+        u = haar_unitary(3, 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            distribution_table(u, 1, t)
+        with pytest.raises(ValueError, match="positive and finite"):
+            prob_dprcv(u, (1, 0, 0), t, 1)
+
 
 class TestCellIntegralConsistency:
     @pytest.mark.parametrize(
@@ -245,3 +275,20 @@ def test_amplitude_table_normalized():
     patterns, amps = amplitude_table(haar_unitary(5, 23), 3)
     assert len(patterns) == len(amps) == 35
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_batched_amplitudes_match_single_pattern_oracles(modes, photons, seed):
+    photons = min(photons, modes)
+    u = haar_unitary(modes, seed)
+    patterns, amps = amplitude_table(u, photons)
+    assert patterns == enumerate_fock_patterns(modes, photons)  # collisions included
+    for pattern, amp in zip(patterns, amps):
+        expected = fock_amplitude(u, pattern)
+        assert abs(amp - expected) <= 1e-14 * abs(expected)
+        cols = [j for j, n in enumerate(pattern) for _ in range(n)]
+        norm = math.sqrt(math.prod(math.factorial(n) for n in pattern))
+        naive = permanent_naive(u[:photons][:, cols]) / norm
+        # the naive sum rounds differently; amplitudes of a unitary are at most 1
+        assert abs(amp - naive) <= 1e-14

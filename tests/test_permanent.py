@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvboson.errors import GuardLimitError
 from cvboson.permanent import (
     compute_permanent,
     permanent_naive,
     permanent_ryser,
+    permanent_ryser_batch,
 )
 
 
@@ -121,3 +124,37 @@ def test_compute_permanent_records_method():
     assert result.dimension == 3
     with pytest.raises(ValueError):
         compute_permanent(np.eye(2), method="glynn")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_batch_ryser_matches_scalar_and_naive(n, count, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    got = permanent_ryser_batch(stack)
+    assert got.shape == (count,)
+    for a, value in zip(stack, got):
+        assert value == permanent_ryser(a)  # same operations in the same order
+        # every Ryser and naive term is bounded by the product of absolute row
+        # sums, which stays a valid scale when the permanent itself cancels
+        scale = np.prod(np.abs(a).sum(axis=1))
+        assert abs(value - permanent_naive(a)) <= 1e-14 * scale
+
+
+def test_batch_ryser_exact_cases():
+    bs = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    ones = [np.ones((n, n)) for n in range(1, 8)]
+    for a in ones:
+        assert permanent_ryser_batch(a[None])[0] == math.factorial(a.shape[0])
+    assert permanent_ryser_batch(np.stack([bs, np.eye(2)])).tolist() == [0, 1]
+    assert permanent_ryser_batch(np.zeros((3, 0, 0))).tolist() == [1, 1, 1]
+    assert permanent_ryser_batch(np.zeros((0, 4, 4))).shape == (0,)
+
+
+def test_batch_ryser_validates_shape_and_size():
+    with pytest.raises(ValueError):
+        permanent_ryser_batch(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        permanent_ryser_batch(np.ones((2, 3, 4)))
+    with pytest.raises(GuardLimitError):
+        permanent_ryser_batch(np.ones((1, 31, 31)))

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cvboson import sampler as sampler_module
 from cvboson.distribution import distribution_table
 from cvboson.errors import GuardLimitError
 from cvboson.fock import enumerate_fock_patterns, fock_amplitude, haar_unitary
 from cvboson.sampler import (
     _invert_click_cdf,
+    _thread_count,
     sample_cv1,
     sample_dprcv1,
     sample_fock,
@@ -104,6 +106,16 @@ class TestDeterminism:
             sample_cv1(base, 1, 80, 1).outcomes,
             sample_cv1(base, 1, 80, 1, threads=4).outcomes,
         )
+
+    def test_chunking_beyond_cpu_count_does_not_change_output(self, monkeypatch):
+        # the thread cap would fold 3 and 7 threads into the CPU count here
+        monkeypatch.setattr(sampler_module.os, "cpu_count", lambda: 8)
+        u = haar_unitary(4, 5)
+        serial = sample_dprcv1(u, 2, 0.05, 700, 9)
+        for threads in (3, 7):
+            assert _thread_count(threads, 700) == threads
+            parallel = sample_dprcv1(u, 2, 0.05, 700, 9, threads=threads)
+            assert np.array_equal(serial.outcomes, parallel.outcomes)
 
     def test_prefix_property_of_shot_streams(self):
         u = haar_unitary(3, 8)
@@ -275,3 +287,42 @@ def test_invert_click_cdf_roundtrip():
         u = np.linspace(0.001, 0.999, 57)
         radii = _invert_click_cdf(u, level)
         np.testing.assert_allclose(g_function(radii, level), u, atol=1e-11)
+
+
+def test_thread_count_is_capped_by_cpus_and_shots(monkeypatch):
+    monkeypatch.setattr(sampler_module.os, "cpu_count", lambda: 4)
+    assert _thread_count(10**12, 10**9) == 4
+    assert _thread_count(10**12, 3) == 3
+    assert _thread_count(2, 10**9) == 2
+    assert _thread_count(0, 100) == 1
+    assert _thread_count(-5, 100) == 1
+    assert _thread_count(8, 0) == 1
+    monkeypatch.setattr(sampler_module.os, "cpu_count", lambda: None)
+    assert _thread_count(10**12, 10**9) == 1
+
+
+@pytest.mark.parametrize(
+    "sampler,args",
+    [
+        (sample_fock, (2, -1, 0)),
+        (sample_dprcv1, (2, 0.1, -1, 0)),
+        (sample_prcv1, (2, -1, 0)),
+        (sample_cv1, (1, -1, 0)),
+    ],
+)
+def test_negative_shots_rejected(sampler, args):
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        sampler(haar_unitary(3, 1), *args)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, 0.0])
+def test_dprcv1_threshold_must_be_positive_and_finite(t):
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_dprcv1(haar_unitary(3, 1), 1, t, 10, 0)
+
+
+def test_zero_shots_give_empty_batches():
+    u = haar_unitary(3, 1)
+    assert sample_fock(u, 2, 0, 0).outcomes.shape == (0, 3)
+    assert sample_dprcv1(u, 2, 0.1, 0, 0).outcomes.shape == (0, 3)
+    assert sample_prcv1(u, 2, 0, 0).outcomes.shape == (0, 3)
