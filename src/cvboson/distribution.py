@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardLimitError, InvalidPatternError
+from .errors import InvalidPatternError, check_size
 from .fock import (
     check_unitary,
     displacement_element,
@@ -26,18 +26,6 @@ from .fock import (
 )
 from .permanent import permanent_ryser_batch
 from .povm import DetectorConfig, g_function, prcv_povm_diag
-
-DENSITY_MAX_MODES = 10
-DENSITY_MAX_PHOTONS = 4
-TABLE_MAX_MODES = 12
-
-
-def _guard_scale(modes, photons, max_modes, max_photons=DENSITY_MAX_PHOTONS):
-    if modes > max_modes:
-        raise GuardLimitError(f"guarded at M <= {max_modes} modes, got {modes}")
-    if photons > max_photons:
-        raise GuardLimitError(f"guarded at N <= {max_photons} photons, got {photons}")
-
 
 def check_click_pattern(pattern, modes=None):
     """Validate a click pattern (binary vector) and return it as a tuple of ints."""
@@ -63,12 +51,14 @@ def amplitude_table(u, photons):
     the squared amplitudes sum to one. The submatrix of every pattern (first
     N rows, column j repeated n_j times) is stacked and all permanents come
     from one batched Ryser run; each amplitude equals fock_amplitude of its
-    pattern bit for bit.
+    pattern bit for bit. Guarded on the pattern count C(M + N - 1, N), which
+    is checked before any pattern is enumerated.
     """
     u = check_unitary(u)
     modes = u.shape[0]
     if photons > modes:
         raise InvalidPatternError(f"need N <= M, got N={photons}, M={modes}")
+    check_size("amplitude table patterns", math.comb(modes + photons - 1, photons))
     patterns = enumerate_fock_patterns(modes, photons)
     occ = np.asarray(patterns)
     # column indices of each submatrix: mode j repeated n_j times, ascending
@@ -83,15 +73,11 @@ def amplitude_table(u, photons):
     return patterns, amps
 
 
-def _kahan_sum(terms):
-    total = 0j
-    comp = 0j
-    for term in terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+def _pattern_sum(coeffs, occ, factors):
+    """sum_n coeffs[n] prod_j factors[j, n_j] over the occupation patterns n
+    (the rows of occ). factors[j, k] is mode j's factor at Fock level k."""
+    terms = factors[np.arange(occ.shape[1]), occ].prod(axis=1)
+    return (coeffs * terms).sum()
 
 
 def density_cv(u, alphas, photons):
@@ -109,7 +95,8 @@ def density_cv(u, alphas, photons):
     """
     u = check_unitary(u)
     modes = u.shape[0]
-    _guard_scale(modes, photons, DENSITY_MAX_MODES)
+    check_size("density modes", modes)
+    check_size("density photons", photons)
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape != (modes,):
         raise ValueError(f"expected {modes} outcomes, got shape {alphas.shape}")
@@ -120,11 +107,7 @@ def density_cv(u, alphas, photons):
             for a in alphas
         ]
     )
-    mode_idx = np.arange(modes)
-    total = _kahan_sum(
-        amp * complex(np.prod(factors[mode_idx, pattern]))
-        for pattern, amp in zip(patterns, amps)
-    )
+    total = _pattern_sum(amps, np.asarray(patterns), factors)
     return abs(total) ** 2 / (2.0 * np.pi) ** modes
 
 
@@ -143,13 +126,10 @@ def density_prcv(u, radii, photons):
     if np.any(radii < 0):
         raise ValueError("radii must be non-negative")
     patterns, amps = amplitude_table(u, photons)
-    weights = np.abs(amps) ** 2
     factors = np.array(
         [[prcv_povm_diag(1, r, v) for v in range(photons + 1)] for r in radii]
     )
-    occ = np.asarray(patterns)
-    terms = weights * np.prod(factors[np.arange(modes)[None, :], occ], axis=1)
-    return float(terms.sum())
+    return float(_pattern_sum(np.abs(amps) ** 2, np.asarray(patterns), factors))
 
 
 def _click_factors(t, photons):
@@ -161,19 +141,25 @@ def prob_dprcv(u, clicks, t, photons):
     """Probability of one click pattern under the discretized detector.
 
     P(m) = sum_n |amp(n)|^2 prod_{m_j=1} G(t, n_j) prod_{m_j=0} (1 - G(t, n_j)).
-    Defined for any click count; the 2^M probabilities sum to one.
+    Defined for any click count; the 2^M probabilities sum to one. t is a
+    scalar (a float is returned) or an array of thresholds (an array of the
+    same shape is returned); the amplitudes are computed once for all of them.
     """
-    t = check_threshold(t)
+    t_values = np.asarray(t, dtype=float)
+    for x in t_values.flat:
+        check_threshold(x)
     u = check_unitary(u)
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes=modes)
     patterns, amps = amplitude_table(u, photons)
     weights = np.abs(amps) ** 2
-    g_vals, gbar_vals = _click_factors(t, photons)
     occ = np.asarray(patterns)
-    click_row = np.asarray(clicks, dtype=bool)
-    factors = np.where(click_row[None, :], g_vals[occ], gbar_vals[occ])
-    return float((weights * factors.prod(axis=1)).sum())
+    click_col = np.asarray(clicks, dtype=bool)[:, None]
+    probs = np.empty(t_values.shape)
+    for index, x in np.ndenumerate(t_values):
+        g_vals, gbar_vals = _click_factors(x, photons)
+        probs[index] = _pattern_sum(weights, occ, np.where(click_col, g_vals, gbar_vals))
+    return float(probs) if probs.ndim == 0 else probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +224,8 @@ def distribution_table(u, photons, t):
     """Exact probabilities of all 2^M click patterns, in lexicographic order."""
     t = check_threshold(t)
     u = check_unitary(u)
-    modes = u.shape[0]
-    _guard_scale(modes, photons, TABLE_MAX_MODES)
+    check_size("click table modes", u.shape[0])
+    check_size("click table photons", photons)
     patterns, amps = amplitude_table(u, photons)
     weights = np.abs(amps) ** 2
     g_vals, gbar_vals = _click_factors(t, photons)
@@ -302,8 +288,7 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes=modes)
     patterns, amps = amplitude_table(u, photons)
-    weights = np.abs(amps) ** 2
-    cell = {}
+    cell = np.empty((photons + 1, 2))
     for v in range(photons + 1):
         in_cell, _ = integrate.quad(
             lambda r: prcv_povm_diag(1, r, v), 0.0, t, epsabs=1e-13, epsrel=1e-12
@@ -316,11 +301,7 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
             epsrel=1e-12,
             limit=200,
         )
-        cell[v] = (in_cell, out_cell)
-    total = 0.0
-    for pattern, w in zip(patterns, weights):
-        product = w
-        for m_j, n_j in zip(clicks, pattern):
-            product *= cell[n_j][0] if m_j else cell[n_j][1]
-        total += product
-    return total
+        cell[v] = (out_cell, in_cell)
+    # mode j's factor at level k is the in-cell mass if j clicked, else the out-cell mass
+    factors = cell[:, clicks].T
+    return float(_pattern_sum(np.abs(amps) ** 2, np.asarray(patterns), factors))

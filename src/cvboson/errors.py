@@ -15,3 +15,28 @@ class GuardLimitError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A mathematical invariant that should hold by construction failed numerically."""
+
+
+# Largest size each exact desk-scale routine accepts, by the quantity it bounds.
+SIZE_LIMITS = {
+    "naive permanent dimension": 10,
+    "Ryser permanent dimension": 30,
+    "amplitude table patterns": 10_000,
+    "density modes": 10,
+    "density photons": 4,
+    "click table modes": 12,
+    "click table photons": 4,
+    "fock sampler modes": 10,
+    "fock sampler photons": 4,
+    "prcv1 sampler modes": 12,
+    "prcv1 sampler photons": 4,
+    "cv1 sampler modes": 4,
+    "cv1 sampler photons": 3,
+}
+
+
+def check_size(quantity, value):
+    """Raise GuardLimitError if `value` exceeds SIZE_LIMITS[quantity]."""
+    limit = SIZE_LIMITS[quantity]
+    if value > limit:
+        raise GuardLimitError(f"{quantity} guarded at <= {limit}, got {value}")

@@ -67,7 +67,7 @@ def deviation_sweep(u, photons, t_list):
         raise ValueError("thresholds must lie in (0, 0.1]")
     pattern = _target_pattern(modes, photons)
     perm_sq = abs(fock_amplitude(u, pattern)) ** 2
-    probs = np.array([prob_dprcv(u, pattern, t, photons) for t in t_values])
+    probs = prob_dprcv(u, pattern, t_values, photons)
     deviations = probs / t_values**photons - perm_sq
 
     if perm_sq < DEGENERATE_PERM_SQ:
@@ -103,7 +103,7 @@ def estimate_perm_from_samples(batch, t, photons):
 
     The batch must come from the discretized sampler at the same threshold.
     With zero observed events the estimate is 0 with a one-sided 95% upper
-    bound (rule of three).
+    bound (rule of three); a batch with no shots is rejected.
     """
     if batch.kind != "dprcv1":
         raise ValueError(f"expected a dprcv1 batch, got {batch.kind!r}")
@@ -112,10 +112,11 @@ def estimate_perm_from_samples(batch, t, photons):
     ):
         raise ValueError("batch threshold does not match t")
     outcomes = np.asarray(batch.outcomes)
-    modes = outcomes.shape[1]
+    shots, modes = outcomes.shape
+    if shots == 0:
+        raise ValueError("batch has no shots")
     target = np.asarray(_target_pattern(modes, photons))
     hits = int((outcomes == target).all(axis=1).sum())
-    shots = outcomes.shape[0]
     scale = t**photons
     freq = hits / shots
     if hits == 0:
@@ -199,12 +200,9 @@ def build_estimate_report(u, photons, t, p_tilde, lower_bound=None, g=1.1):
     the linear part of the deviation and E is the remainder at t. The
     default lower bound is the true squared permanent itself.
     """
-    u = check_unitary(u)
-    modes = u.shape[0]
-    pattern = _target_pattern(modes, photons)
-    perm_sq = abs(fock_amplitude(u, pattern)) ** 2
     t_grid = np.geomspace(t, min(16 * t, 0.1), 6)
     sweep = deviation_sweep(u, photons, t_grid)
+    perm_sq = sweep.perm_sq_true
     if sweep.degenerate:
         error_term = float(sweep.deviations[0])
     else:

@@ -7,7 +7,6 @@ multiplicity, transition amplitudes, and displaced-number matrix elements.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +65,7 @@ def check_pattern(pattern, modes=None, photons=None):
     return pattern
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def enumerate_fock_patterns(modes, photons):
     """All occupation patterns of `photons` photons in `modes` modes.
 
@@ -86,15 +85,6 @@ def enumerate_fock_patterns(modes, photons):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Submatrix:
-    """Square submatrix with the row/column provenance that produced it."""
-
-    entries: np.ndarray
-    rows: tuple
-    cols: tuple
-
-
 def submatrix_with_multiplicity(u, pattern):
     """First-N-rows submatrix of U with column j repeated pattern[j] times.
 
@@ -105,9 +95,8 @@ def submatrix_with_multiplicity(u, pattern):
     n = sum(pattern)
     if n > u.shape[0]:
         raise InvalidPatternError(f"pattern has {n} photons but U has only {u.shape[0]} rows")
-    cols = tuple(j for j, nj in enumerate(pattern) for _ in range(nj))
-    rows = tuple(range(n))
-    return Submatrix(entries=u[np.ix_(rows, cols)], rows=rows, cols=cols)
+    cols = [j for j, nj in enumerate(pattern) for _ in range(nj)]
+    return u[:n][:, cols]
 
 
 def fock_amplitude(u, pattern):
@@ -121,7 +110,7 @@ def fock_amplitude(u, pattern):
     """
     sub = submatrix_with_multiplicity(u, pattern)
     norm = math.sqrt(math.prod(math.factorial(nj) for nj in pattern))
-    return complex(permanent_ryser(sub.entries)) / norm
+    return complex(permanent_ryser(sub)) / norm
 
 
 def displacement_element(n, k, alpha):

@@ -8,23 +8,12 @@ one for single matrices and a batched one for stacks of equal-size matrices.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardLimitError
-
-NAIVE_MAX_DIM = 10
-RYSER_MAX_DIM = 30
+from .errors import check_size
 
 _PERM_CHUNK = 200_000
-
-
-@dataclass(frozen=True)
-class PermanentResult:
-    value: complex
-    method: str
-    dimension: int
 
 
 def _as_square(a):
@@ -41,8 +30,7 @@ def permanent_naive(a):
     """
     a = _as_square(a)
     n = a.shape[0]
-    if n > NAIVE_MAX_DIM:
-        raise GuardLimitError(f"naive permanent guarded at n <= {NAIVE_MAX_DIM}, got {n}")
+    check_size("naive permanent dimension", n)
     if n == 0:
         return 1 + 0j
     rows = np.arange(n)
@@ -60,60 +48,40 @@ def permanent_naive(a):
     return total
 
 
-def permanent_ryser(a, *, subset_order="gray"):
+def permanent_ryser(a):
     """Permanent by Ryser's inclusion-exclusion formula (O(2^n n)).
 
-    subset_order selects how column subsets are visited: "gray" updates the
-    row sums one column flip at a time, "lex" recomputes them per subset.
-    Both orders must agree; the option exists so that path independence can
-    be tested. Terms are accumulated with Kahan compensation because the
-    2^n-term sum cancels heavily for near-singular-permanent matrices.
+    Column subsets are visited in Gray-code order, so the row sums change by
+    one column per subset. Terms are accumulated with Kahan compensation
+    because the 2^n-term sum cancels heavily for near-singular-permanent
+    matrices.
     """
     a = _as_square(a)
     n = a.shape[0]
-    if n > RYSER_MAX_DIM:
-        raise GuardLimitError(f"Ryser permanent guarded at n <= {RYSER_MAX_DIM}, got {n}")
+    check_size("Ryser permanent dimension", n)
     if n == 0:
         return 1 + 0j
-    if subset_order not in ("gray", "lex"):
-        raise ValueError(f"unknown subset order {subset_order!r}")
 
     cols = [list(a[:, j]) for j in range(n)]
     total = 0j
     comp = 0j
-
-    def accumulate(term):
-        nonlocal total, comp
-        y = term - comp
+    row_sums = [0j] * n
+    gray = 0
+    for k in range(1, 1 << n):
+        flip = (k & -k).bit_length() - 1
+        gray ^= 1 << flip
+        col = cols[flip]
+        if gray & (1 << flip):
+            for i in range(n):
+                row_sums[i] += col[i]
+        else:
+            for i in range(n):
+                row_sums[i] -= col[i]
+        sign = -1.0 if (gray.bit_count() & 1) else 1.0
+        y = sign * math.prod(row_sums) - comp
         t = total + y
         comp = (t - total) - y
         total = t
-
-    if subset_order == "gray":
-        row_sums = [0j] * n
-        gray = 0
-        for k in range(1, 1 << n):
-            flip = (k & -k).bit_length() - 1
-            gray ^= 1 << flip
-            col = cols[flip]
-            if gray & (1 << flip):
-                for i in range(n):
-                    row_sums[i] += col[i]
-            else:
-                for i in range(n):
-                    row_sums[i] -= col[i]
-            sign = -1.0 if (gray.bit_count() & 1) else 1.0
-            accumulate(sign * math.prod(row_sums))
-    else:
-        for subset in range(1, 1 << n):
-            row_sums = [0j] * n
-            for j in range(n):
-                if subset & (1 << j):
-                    col = cols[j]
-                    for i in range(n):
-                        row_sums[i] += col[i]
-            sign = -1.0 if (subset.bit_count() & 1) else 1.0
-            accumulate(sign * math.prod(row_sums))
 
     return total * (-1.0 if n & 1 else 1.0)
 
@@ -131,8 +99,7 @@ def permanent_ryser_batch(a):
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     count, n = a.shape[0], a.shape[1]
-    if n > RYSER_MAX_DIM:
-        raise GuardLimitError(f"Ryser permanent guarded at n <= {RYSER_MAX_DIM}, got {n}")
+    check_size("Ryser permanent dimension", n)
     if n == 0:
         return np.ones(count, dtype=complex)
 
@@ -177,14 +144,3 @@ def permanent_ryser_batch(a):
     out.imag = total_im
     return out
 
-
-def compute_permanent(a, method="ryser"):
-    """Permanent with provenance, for callers that record which engine ran."""
-    a = _as_square(a)
-    if method == "ryser":
-        value = permanent_ryser(a)
-    elif method == "naive":
-        value = permanent_naive(a)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return PermanentResult(value=value, method=method, dimension=a.shape[0])

@@ -13,17 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import amplitude_table, check_threshold, distribution_table
-from .errors import GuardLimitError
+from .errors import check_size
 from .fock import check_unitary
 from .povm import DetectorConfig
 from .rng import shot_uniforms
 from .special import g_function
-
-FOCK_MAX_MODES = 10
-FOCK_MAX_PHOTONS = 4
-DPRCV_MAX_MODES = 12
-CV_MAX_MODES = 4
-CV_MAX_PHOTONS = 3
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,8 @@ def sample_fock(u, photons, shots, seed, threads=1):
     _check_shots(shots)
     u = check_unitary(u)
     modes = u.shape[0]
-    if modes > FOCK_MAX_MODES or photons > FOCK_MAX_PHOTONS:
-        raise GuardLimitError(
-            f"fock sampler guarded at M <= {FOCK_MAX_MODES}, N <= {FOCK_MAX_PHOTONS}"
-        )
+    check_size("fock sampler modes", modes)
+    check_size("fock sampler photons", photons)
     patterns, amps = amplitude_table(u, photons)
     pattern_array = np.asarray(patterns, dtype=int)
     cdf = np.cumsum(np.abs(amps) ** 2)
@@ -98,17 +90,13 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     """I.i.d. click patterns from the exact 2^M discretized-detector table.
 
     A drawn table index is decoded to its click bits directly (mode 0 is the
-    most significant bit).
+    most significant bit). Guarded by the click-table size limits.
     """
     _check_shots(shots)
     t = check_threshold(t)
-    u = check_unitary(u)
-    modes = u.shape[0]
-    if modes > DPRCV_MAX_MODES:
-        raise GuardLimitError(f"dprcv1 sampler guarded at M <= {DPRCV_MAX_MODES}")
     table = distribution_table(u, photons, t)
     cdf = np.cumsum(table.probabilities())
-    shifts = np.arange(modes - 1, -1, -1)
+    shifts = np.arange(table.modes - 1, -1, -1)
 
     def worker(first, count):
         uniforms = shot_uniforms(seed, count, 1, first)[:, 0]
@@ -150,10 +138,8 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
     _check_shots(shots)
     u = check_unitary(u)
     modes = u.shape[0]
-    if modes > DPRCV_MAX_MODES or photons > FOCK_MAX_PHOTONS:
-        raise GuardLimitError(
-            f"prcv1 sampler guarded at M <= {DPRCV_MAX_MODES}, N <= {FOCK_MAX_PHOTONS}"
-        )
+    check_size("prcv1 sampler modes", modes)
+    check_size("prcv1 sampler photons", photons)
     patterns, amps = amplitude_table(u, photons)
     pattern_array = np.asarray(patterns, dtype=int)
     cdf = np.cumsum(np.abs(amps) ** 2)
@@ -219,14 +205,11 @@ def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threa
     _check_shots(shots)
     u = check_unitary(u)
     modes = u.shape[0]
-    if modes > CV_MAX_MODES or photons > CV_MAX_PHOTONS:
-        raise GuardLimitError(
-            f"cv1 sampler guarded at M <= {CV_MAX_MODES}, N <= {CV_MAX_PHOTONS}"
-        )
+    check_size("cv1 sampler modes", modes)
+    check_size("cv1 sampler photons", photons)
     patterns, amps = amplitude_table(u, photons)
     amp_tensor = np.zeros((photons + 1,) * modes, dtype=complex)
-    for pattern, amp in zip(patterns, amps):
-        amp_tensor[pattern] = amp
+    amp_tensor[tuple(np.asarray(patterns).T)] = amps
 
     r_nodes, r_widths = _radial_grid(grid_radial, photons)
     angles = 2.0 * np.pi * (np.arange(grid_angular) + 0.5) / grid_angular

@@ -76,7 +76,7 @@ def _check_amplitude_against_naive_permanent(full):
         for pattern in enumerate_fock_patterns(4, 3):
             sub = submatrix_with_multiplicity(u, pattern)
             norm = math.sqrt(math.prod(math.factorial(n) for n in pattern))
-            expected = permanent_naive(sub.entries) / norm
+            expected = permanent_naive(sub) / norm
             worst = max(worst, abs(fock_amplitude(u, pattern) - expected))
     return worst <= 1e-10, f"max amplitude defect = {worst:.2e}"
 

@@ -356,30 +356,35 @@ class TestCli:
         assert first.read_bytes() == second.read_bytes()
 
 
-# sha256 of small seeded output files, pinned before the sample and exact-dist
-# paths were vectorised; any change to their bytes is a format change.
+# sha256 of small seeded output files, pinned before the sample, exact-dist and
+# sweep paths were vectorised; any change to their bytes is a format change.
 GOLDEN_OUTPUTS = {
     "fock": (
         ["sample", "--photons", "2", "--detector", "fock", "--shots", "300", "--seed", "11"],
-        "c71982afd767d6645759788d44721fb2aabd99e1d7569e1315ea6978deebc003",
+        {"out.csv": "c71982afd767d6645759788d44721fb2aabd99e1d7569e1315ea6978deebc003"},
     ),
     "dprcv1": (
         ["sample", "--photons", "3", "--detector", "dprcv1", "--t", "0.2",
          "--shots", "300", "--seed", "12"],
-        "05cedb6a495a695e7104ba590b1a731dfb2484cff9c746c5e1a188b876c5aac6",
+        {"out.csv": "05cedb6a495a695e7104ba590b1a731dfb2484cff9c746c5e1a188b876c5aac6"},
     ),
     "prcv1": (
         ["sample", "--photons", "2", "--detector", "prcv1", "--shots", "40", "--seed", "13"],
-        "8ff4f36a97e5228867a651688069f30d1ff22e1c5bc7e4ea4c04eff5b1813fb2",
+        {"out.csv": "8ff4f36a97e5228867a651688069f30d1ff22e1c5bc7e4ea4c04eff5b1813fb2"},
     ),
     "cv1": (
         ["sample", "--photons", "2", "--detector", "cv1", "--shots", "4", "--seed", "14",
          "--grid-radial", "64", "--grid-angular", "32"],
-        "d1634b3cb90961ab84dc30e1b6f7acb637a166b7660fd6802de50364a5ccfa08",
+        {"out.csv": "d1634b3cb90961ab84dc30e1b6f7acb637a166b7660fd6802de50364a5ccfa08"},
     ),
     "exact-dist": (
         ["exact-dist", "--photons", "3", "--t", "0.05"],
-        "a748b49ac9bf308d30feb9961e7e190cfdc05d0ce5f5e470d266bd379812c4af",
+        {"out.csv": "a748b49ac9bf308d30feb9961e7e190cfdc05d0ce5f5e470d266bd379812c4af"},
+    ),
+    "sweep-t": (
+        ["sweep-t", "--photons", "3", "--report", "report.json"],
+        {"out.csv": "42fba7cf0de7f167be9091ba79f7cfef4ac3e2ebf002ec43d72ac85ae3fc9983",
+         "report.json": "6f8582b0febe47e7d14ca6036bbce3a1e129ed4e7fda74cba46e53ba3a0229c5"},
     ),
 }
 
@@ -390,10 +395,11 @@ def test_output_bytes_match_golden_hash(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     modes = "3" if name == "cv1" else "5"
     assert main(["gen-unitary", "--modes", modes, "--seed", "3", "--out", "u.json"]) == 0
-    argv, digest = GOLDEN_OUTPUTS[name]
+    argv, digests = GOLDEN_OUTPUTS[name]
     argv = argv[:1] + ["--unitary", "u.json"] + argv[1:] + ["--out", "out.csv"]
     assert main(argv) == 0
-    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+    for path, digest in digests.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
 
 
 def _csv_writer_lines(kind, outcomes):
@@ -471,6 +477,16 @@ def test_exact_dist_rejects_infinite_threshold(tmp_path, capsys):
     main(["gen-unitary", "--modes", "2", "--seed", "5", "--out", str(upath)])
     assert main(["exact-dist", "--unitary", str(upath), "--photons", "1", "--t", "inf"]) == 1
     assert "positive and finite" in capsys.readouterr().err
+
+
+def test_sweep_beyond_pattern_limit_is_guard_violation(tmp_path, capsys):
+    # 5 photons in 16 modes have C(20, 5) = 15504 occupation patterns
+    upath = tmp_path / "u.json"
+    main(["gen-unitary", "--modes", "16", "--seed", "3", "--out", str(upath)])
+    out = tmp_path / "s.csv"
+    assert main(["sweep-t", "--unitary", str(upath), "--photons", "5", "--out", str(out)]) == 2
+    assert "guard violation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_import_leaves_scipy_unloaded():

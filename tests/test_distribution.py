@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from cvboson import distribution
 from cvboson.distribution import (
     DistributionTable,
     amplitude_table,
@@ -24,10 +25,17 @@ from cvboson.distribution import (
     leading_order,
     prcv_cell_integral,
     prob_dprcv,
+    radial_tail_cutoff,
 )
 from cvboson.errors import GuardLimitError, InvalidPatternError
-from cvboson.fock import enumerate_fock_patterns, fock_amplitude, haar_unitary
+from cvboson.fock import (
+    displacement_element,
+    enumerate_fock_patterns,
+    fock_amplitude,
+    haar_unitary,
+)
 from cvboson.permanent import permanent_naive
+from cvboson.povm import prcv_povm_diag
 from cvboson.special import detector_efficiency, g_function
 
 
@@ -212,6 +220,8 @@ class TestDistributionTable:
             distribution_table(u, 1, t)
         with pytest.raises(ValueError, match="positive and finite"):
             prob_dprcv(u, (1, 0, 0), t, 1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            prob_dprcv(u, (1, 0, 0), np.array([0.1, t]), 1)
 
 
 class TestCellIntegralConsistency:
@@ -292,3 +302,79 @@ def test_batched_amplitudes_match_single_pattern_oracles(modes, photons, seed):
         naive = permanent_naive(u[:photons][:, cols]) / norm
         # the naive sum rounds differently; amplitudes of a unitary are at most 1
         assert abs(amp - naive) <= 1e-14
+
+
+def test_amplitude_table_guard_precedes_enumeration(monkeypatch):
+    # 10 photons in 30 modes have C(39, 10) ~ 6.4e8 occupation patterns
+    monkeypatch.setattr(
+        distribution, "enumerate_fock_patterns", lambda *args: pytest.fail("enumerated")
+    )
+    with pytest.raises(GuardLimitError, match="patterns"):
+        amplitude_table(haar_unitary(30, 0), 10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(1e-4, 3.0), max_size=6),
+    st.booleans(),
+)
+def test_array_thresholds_match_scalar_calls(modes, photons, seed, ts, column):
+    photons = min(photons, modes)
+    u = haar_unitary(modes, seed)
+    clicks = tuple((seed >> j) & 1 for j in range(modes))
+    t = np.array(ts).reshape((-1, 1) if column else -1)
+    probs = prob_dprcv(u, clicks, t, photons)
+    assert isinstance(probs, np.ndarray) and probs.shape == t.shape
+    scalars = [prob_dprcv(u, clicks, x, photons) for x in ts]
+    assert all(isinstance(p, float) for p in scalars)
+    assert np.array_equal(probs.ravel(), scalars)
+
+
+def _fsum_pattern_sum(u, photons, weight, factor):
+    """sum_n weight(amp(n)) prod_j factor(j, n_j), one pattern at a time, with
+    the real and imaginary parts of the terms summed by math.fsum."""
+    terms = []
+    for pattern in enumerate_fock_patterns(u.shape[0], photons):
+        term = complex(weight(fock_amplitude(u, pattern)))
+        for j, n in enumerate(pattern):
+            term *= factor(j, n)
+        terms.append(term)
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+@pytest.mark.parametrize(
+    "modes,photons,seed", [(1, 1, 0), (2, 2, 1), (3, 2, 2), (4, 3, 3), (5, 3, 4), (6, 4, 5)]
+)
+def test_pattern_sums_match_fsum_reference(modes, photons, seed):
+    u = haar_unitary(modes, seed)
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(size=modes) + 1j * rng.normal(size=modes)
+    radii = np.abs(alphas) ** 2
+    clicks = tuple(int(m) for m in rng.integers(0, 2, modes))
+    t = 0.3
+
+    def close(got, expected):
+        return abs(got - expected) <= 1e-14 * abs(expected)
+
+    total = _fsum_pattern_sum(
+        u, photons, lambda a: a, lambda j, n: np.conj(displacement_element(n, 1, alphas[j]))
+    )
+    assert close(density_cv(u, alphas, photons), abs(total) ** 2 / (2 * np.pi) ** modes)
+
+    expected = _fsum_pattern_sum(
+        u, photons, lambda a: abs(a) ** 2, lambda j, n: prcv_povm_diag(1, radii[j], n)
+    )
+    assert close(density_prcv(u, radii, photons), expected.real)
+
+    # per-level cell masses by the same quadrature prcv_cell_integral runs
+    def cell(n, click):
+        lo, hi = (0.0, t) if click else (t, radial_tail_cutoff(n))
+        return quad(
+            lambda r: prcv_povm_diag(1, r, n), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200
+        )[0]
+
+    expected = _fsum_pattern_sum(u, photons, lambda a: abs(a) ** 2, lambda j, n: cell(n, clicks[j]))
+    assert close(prcv_cell_integral(u, clicks, t, photons), expected.real)

@@ -128,6 +128,11 @@ class TestFrequencyEstimator:
         with pytest.raises(ValueError):
             estimate_perm_from_samples(batch, 0.02, 1)
 
+    def test_empty_batch_rejected(self):
+        batch = sample_dprcv1(haar_unitary(3, 1), 2, 0.1, 0, 1)
+        with pytest.raises(ValueError, match="no shots"):
+            estimate_perm_from_samples(batch, 0.1, 2)
+
 
 class TestBoundChain:
     def test_zero_error_reduces_to_input_factor(self):

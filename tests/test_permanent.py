@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvboson.errors import GuardLimitError
-from cvboson.permanent import (
-    compute_permanent,
-    permanent_naive,
-    permanent_ryser,
-    permanent_ryser_batch,
-)
+from cvboson.permanent import permanent_naive, permanent_ryser, permanent_ryser_batch
 
 
 def test_one_by_one():
@@ -89,16 +84,6 @@ def test_row_scaling():
     assert permanent_ryser(scaled) == pytest.approx(c * permanent_ryser(a), rel=1e-12)
 
 
-def test_gray_and_lex_subset_orders_agree():
-    rng = np.random.default_rng(17)
-    for n in (4, 5, 6):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a /= np.abs(a).max()  # unit-norm scale so the bound is absolute
-        gray = permanent_ryser(a, subset_order="gray")
-        lex = permanent_ryser(a, subset_order="lex")
-        assert abs(gray - lex) <= 1e-12
-
-
 def test_near_cancellation_stays_accurate():
     # Hong-Ou-Mandel-like matrix: massive cancellation across subset terms
     bs = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -115,15 +100,6 @@ def test_size_guards():
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         permanent_naive(np.ones((2, 3)))
-
-
-def test_compute_permanent_records_method():
-    result = compute_permanent(np.eye(3), method="naive")
-    assert result.value == pytest.approx(1)
-    assert result.method == "naive"
-    assert result.dimension == 3
-    with pytest.raises(ValueError):
-        compute_permanent(np.eye(2), method="glynn")
 
 
 @settings(max_examples=40, deadline=None)
