@@ -19,20 +19,21 @@ from .fock import (
 )
 from .permanent import permanent_naive, permanent_ryser
 from .povm import (
-    CVOutcome,
     DetectorConfig,
     TruncatedOperator,
     cvn_povm_element,
-    dark_count_probability,
     detector_curves,
-    detector_efficiency,
     dprcv1_povm,
-    g_function,
-    laguerre,
-    lower_incomplete_gamma,
     prcv_completeness_residual,
     prcv_phase_average,
     prcv_povm_diag,
+)
+from .special import (
+    dark_count_probability,
+    detector_efficiency,
+    g_function,
+    laguerre,
+    lower_incomplete_gamma,
 )
 from .distribution import (
     DistributionTable,
@@ -68,7 +69,6 @@ __all__ = [
     "submatrix_with_multiplicity",
     "permanent_naive",
     "permanent_ryser",
-    "CVOutcome",
     "DetectorConfig",
     "TruncatedOperator",
     "cvn_povm_element",

@@ -25,7 +25,8 @@ from .fock import (
     fock_amplitude,
 )
 from .permanent import permanent_ryser_batch
-from .povm import DetectorConfig, g_function, prcv_povm_diag
+from .povm import DetectorConfig, prcv_povm_diag
+from .special import g_function
 
 def check_click_pattern(pattern, modes=None):
     """Validate a click pattern (binary vector) and return it as a tuple of ints."""

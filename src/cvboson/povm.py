@@ -20,86 +20,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import displacement_element
-from .special import (
-    dark_count_probability,
-    detector_efficiency,
-    g_function,
-    laguerre,
-    lower_incomplete_gamma,
-)
-
-__all__ = [
-    "DetectorConfig",
-    "CVOutcome",
-    "TruncatedOperator",
-    "laguerre",
-    "lower_incomplete_gamma",
-    "g_function",
-    "detector_efficiency",
-    "dark_count_probability",
-    "prcv_povm_diag",
-    "cvn_povm_element",
-    "dprcv1_povm",
-    "detector_curves",
-    "prcv_completeness_residual",
-    "prcv_phase_average",
-]
+from .special import dark_count_probability, detector_efficiency, g_function, laguerre
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detector parameters: Fock ancilla, click threshold, optional word size.
+    """Detector parameters: Fock ancilla and click threshold.
 
-    When built from a word size b, the click region is the lowest of the
-    2^b - 1 equal partitions of [0, 2], i.e. threshold_t = 2 / (2^b - 1).
-    threshold_t may be None for the continuous (CV / PRCV) variants.
+    threshold_t is None for the continuous (CV / PRCV) variants; a b-bit
+    readout's threshold is estimate.t_from_bits(b).
     """
 
     ancilla_n: int = 1
     threshold_t: float | None = None
-    bits_b: int | None = None
 
     def __post_init__(self):
         if self.ancilla_n < 0:
             raise ValueError(f"ancilla photon number must be >= 0, got {self.ancilla_n}")
         if self.threshold_t is not None and not self.threshold_t > 0:
             raise ValueError(f"threshold must be positive, got {self.threshold_t}")
-        if self.bits_b is not None:
-            if self.bits_b < 1:
-                raise ValueError(f"word size must be >= 1, got {self.bits_b}")
-            expected = 2.0 / (2 ** self.bits_b - 1)
-            if self.threshold_t is None:
-                object.__setattr__(self, "threshold_t", expected)
-            elif not math.isclose(self.threshold_t, expected, rel_tol=1e-12):
-                raise ValueError(
-                    f"threshold {self.threshold_t} inconsistent with {self.bits_b}-bit "
-                    f"discretization (expected {expected})"
-                )
-
-    @classmethod
-    def from_bits(cls, bits_b, ancilla_n=1):
-        return cls(ancilla_n=ancilla_n, bits_b=bits_b)
-
-
-@dataclass(frozen=True)
-class CVOutcome:
-    """One CV measurement record: quadrature pair, aggregated alpha, radius R."""
-
-    x1: float
-    p2: float
-    alpha: complex
-    R: float
-
-    def __post_init__(self):
-        if abs(self.R - (self.x1**2 + self.p2**2)) > 1e-12:
-            raise ValueError("R must equal x1^2 + p2^2")
-        if abs(abs(self.alpha) ** 2 - self.R) > 1e-12:
-            raise ValueError("|alpha|^2 must equal R")
-
-    @classmethod
-    def from_alpha(cls, alpha):
-        alpha = complex(alpha)
-        return cls(x1=alpha.real, p2=alpha.imag, alpha=alpha, R=abs(alpha) ** 2)
 
 
 @dataclass(frozen=True)

@@ -218,10 +218,12 @@ def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threa
     measure = np.repeat(r_widths * (2.0 * np.pi / grid_angular), grid_angular)
     overlap = _mode_overlap_columns(alpha_nodes, photons)
 
-    # The first mode's cell weights do not depend on earlier outcomes, so they
-    # are computed once; later modes are conditioned per shot.
-    first_contract = overlap @ amp_tensor.reshape(photons + 1, -1)
-    first_cdf = np.cumsum((np.abs(first_contract) ** 2).sum(axis=1) * measure)
+    # The first mode's cell weights do not depend on earlier outcomes: each is the
+    # quadratic form v+ (T T+) v of its node's overlap row v. Later modes are per shot.
+    first_rows = amp_tensor.reshape(photons + 1, -1)
+    gram = first_rows @ first_rows.conj().T
+    first_weights = ((overlap @ gram) * overlap.conj()).sum(axis=1).real
+    first_cdf = np.cumsum(first_weights * measure)
 
     def worker(first, count):
         uniforms = shot_uniforms(seed, count, modes, first)
@@ -231,7 +233,7 @@ def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threa
         if modes == 1:
             return out
         for shot in range(count):
-            tensor = first_contract[idx0[shot]].reshape((photons + 1,) * (modes - 1))
+            tensor = (overlap[idx0[shot]] @ first_rows).reshape((photons + 1,) * (modes - 1))
             for j in range(1, modes):
                 contract = overlap @ tensor.reshape(photons + 1, -1)
                 weights = (np.abs(contract) ** 2).sum(axis=1) * measure

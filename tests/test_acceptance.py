@@ -1,250 +1,59 @@
-"""Acceptance gate: every shipped criterion at its stated tolerance.
+"""Acceptance gate: `cvboson verify --level full`, run once and asserted per check and
+per criterion within its wall-clock budget (`pytest -s` prints the PASS lines)."""
 
-Run with `pytest -v -s tests/test_acceptance.py` to see one PASS line per
-criterion. Each test enforces its own tolerance and wall-clock budget.
-"""
-
-import itertools
-import math
-import time
-
-import numpy as np
 import pytest
-from scipy import stats
 
-from cvboson.distribution import distribution_table, prcv_cell_integral, prob_dprcv
-from cvboson.estimate import deviation_sweep, mult_bound_check
-from cvboson.fock import enumerate_fock_patterns, fock_amplitude, haar_unitary
-from cvboson.permanent import permanent_naive, permanent_ryser
-from cvboson.povm import (
-    dark_count_probability,
-    detector_efficiency,
-    detector_curves,
-    g_function,
-    prcv_completeness_residual,
-    prcv_phase_average,
-    prcv_povm_diag,
-)
-from cvboson.sampler import sample_cv1, sample_dprcv1, sample_fock, sample_prcv1
+from cvboson import verify
 
 
-def perm_sum_amplitude(u, pattern):
-    """Independent permutation-sum oracle with multinomial normalization."""
-    cols = [j for j, nj in enumerate(pattern) for _ in range(nj)]
-    n = len(cols)
-    total = 0j
-    for sigma in itertools.permutations(range(n)):
-        term = 1 + 0j
-        for i in range(n):
-            term *= u[i, cols[sigma[i]]]
-        total += term
-    return total / math.sqrt(math.prod(math.factorial(nj) for nj in pattern))
+@pytest.fixture(scope="module")
+def results():
+    return {result.name: result for result in verify.run_checks("full")}
 
 
-def empirical_tv(outcomes, patterns, probabilities):
-    counts = {}
-    for row in map(tuple, outcomes):
-        counts[row] = counts.get(row, 0) + 1
-    shots = len(outcomes)
-    return 0.5 * sum(
-        abs(counts.get(p, 0) / shots - q) for p, q in zip(patterns, probabilities)
-    )
+@pytest.mark.parametrize("name", [name for name, _ in verify._CHECKS])
+def test_verify_full_check_passes(results, name):
+    assert results[name].passed, results[name].detail
 
 
-def test_criterion_1_detector_curves():
-    start = time.perf_counter()
-    grid = np.linspace(0.0, 3.0, 601)
-    table = detector_curves(grid)
-    eta, p_dark = table[:, 1], table[:, 2]
-    assert abs(detector_efficiency(1.0) - dark_count_probability(1.0)) <= 1e-14
-    interior = (grid > 0) & (grid < 1)
-    assert np.all(eta[interior] > p_dark[interior])
-    np.testing.assert_allclose(eta, 1 - np.exp(-grid) * (1 + grid**2), rtol=1e-15)
-    np.testing.assert_allclose(p_dark, 1 - np.exp(-grid) * (1 + grid), rtol=1e-15)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 1.0
-    print(f"\nACCEPTANCE 1 PASS: detector curves, crossing at t=1 ({elapsed:.2f}s)")
+def _criterion(results, number, budget, *names):
+    assert all(results[name].passed for name in names), [results[n].detail for n in names]
+    elapsed = sum(results[name].seconds for name in names)
+    assert elapsed < budget
+    details = "; ".join(results[name].detail for name in names)
+    print(f"\nACCEPTANCE {number} PASS: {details} ({elapsed:.2f}s)")
 
 
-def test_criterion_2_povm_identities():
-    start = time.perf_counter()
-    # radius-zero element projects on the single-photon level, exactly
-    for k in range(21):
-        assert prcv_povm_diag(1, 0.0, k) == (1.0 if k == 1 else 0.0)
-    # phase-averaged CV-1 element matches the closed radial form
-    cutoff, n_theta = 20, 2048
-    for big_r in (0.4, 1.3, 5.0):
-        averaged = prcv_phase_average(1, big_r, cutoff, n_theta)
-        off = np.abs(averaged.entries - np.diag(np.diag(averaged.entries))).max()
-        assert off <= 1e-8
-        for k in range(cutoff + 1):
-            assert abs(averaged.entries[k, k].real - prcv_povm_diag(1, big_r, k)) <= 1e-8
-    # completeness over the radial outcome
-    for ancilla in (0, 1, 2):
-        assert prcv_completeness_residual(ancilla, 5, 50.0).max() <= 1e-8
-    elapsed = time.perf_counter() - start
-    assert elapsed < 30.0
-    print(f"ACCEPTANCE 2 PASS: POVM identities ({elapsed:.2f}s)")
+def test_criterion_1_detector_curves(results):
+    _criterion(results, 1, 1.0, "detector-curves-crossing")
 
 
-def test_criterion_3_permanent_engine():
-    start = time.perf_counter()
-    rng = np.random.default_rng(2023)
-    worst = 0.0
-    for _ in range(1000):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        expected = permanent_naive(a)
-        worst = max(worst, abs(permanent_ryser(a) - expected) / abs(expected))
-    assert worst <= 1e-9
-    for n in range(1, 11):
-        assert permanent_ryser(np.ones((n, n))) == float(math.factorial(n))
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0
-    print(f"ACCEPTANCE 3 PASS: permanents, max rel defect {worst:.2e} ({elapsed:.2f}s)")
+def test_criterion_2_povm_identities(results):
+    _criterion(results, 2, 30.0, "radius-zero-projection", "phase-average-identity",
+               "completeness-residuals")
 
 
-def test_criterion_4_distribution_exactness():
-    start = time.perf_counter()
-    worst_amp = 0.0
-    worst_norm = 0.0
-    for seed in range(20):
-        modes = 4 + seed % 3  # 4..6
-        photons = 2 + seed % 2  # 2..3
-        u = haar_unitary(modes, 300 + seed)
-        for pattern in enumerate_fock_patterns(modes, photons):
-            defect = abs(fock_amplitude(u, pattern) - perm_sum_amplitude(u, pattern))
-            worst_amp = max(worst_amp, defect)
-        table = distribution_table(u, photons, 0.05)
-        worst_norm = max(worst_norm, table.normalization_residual)
-    assert worst_amp <= 1e-10
-    assert worst_norm <= 1e-10
-    # quadrature route to the click probabilities at M <= 3
-    worst_cell = 0.0
-    for modes, photons, clicks, seed in [
-        (2, 2, (1, 1), 321),
-        (3, 2, (1, 0, 1), 322),
-        (3, 3, (1, 1, 1), 323),
-        (3, 1, (0, 1, 0), 324),
-    ]:
-        u = haar_unitary(modes, seed)
-        direct = prob_dprcv(u, clicks, 0.3, photons)
-        by_quad = prcv_cell_integral(u, clicks, 0.3, photons)
-        worst_cell = max(worst_cell, abs(direct - by_quad))
-    assert worst_cell <= 1e-6
-    elapsed = time.perf_counter() - start
-    assert elapsed < 120.0
-    print(
-        f"ACCEPTANCE 4 PASS: amplitudes {worst_amp:.1e}, norm {worst_norm:.1e}, "
-        f"cells {worst_cell:.1e} ({elapsed:.2f}s)"
-    )
+def test_criterion_3_permanent_engine(results):
+    _criterion(results, 3, 10.0, "permanent-cross-check")
 
 
-def test_criterion_5_leading_order_law():
-    start = time.perf_counter()
-    t_grid = np.geomspace(1e-4, 1e-2, 8)
-    for seed in range(20):
-        u = haar_unitary(6, 400 + seed)
-        sweep = deviation_sweep(u, 3, t_grid)
-        if sweep.degenerate:
-            continue
-        c = abs(sweep.linear_coeff) + sweep.quadratic_bound * t_grid.max()
-        assert np.all(np.abs(sweep.deviations) <= c * t_grid + 1e-15)
-    single = deviation_sweep(np.eye(1), 1, t_grid)
-    assert single.linear_coeff == pytest.approx(-1.5, rel=0.01)
-    elapsed = time.perf_counter() - start
-    assert elapsed < 120.0
-    print(
-        f"ACCEPTANCE 5 PASS: leading-order law, single-mode slope "
-        f"{single.linear_coeff:.4f} ({elapsed:.2f}s)"
-    )
+def test_criterion_4_distribution_exactness(results):
+    _criterion(results, 4, 120.0, "amplitude-vs-naive-permanent", "table-normalization",
+               "click-probability-by-quadrature")
 
 
-def test_criterion_6_samplers():
-    start = time.perf_counter()
-    # total variation against exact tables at 1e5 shots, M = 6
-    u6 = haar_unitary(6, 500)
-    patterns = enumerate_fock_patterns(6, 3)
-    probs = [abs(fock_amplitude(u6, p)) ** 2 for p in patterns]
-    fock_batch = sample_fock(u6, 3, 100_000, 501)
-    tv_fock = empirical_tv(fock_batch.outcomes, patterns, probs)
-    assert tv_fock <= 0.01
-
-    table = distribution_table(u6, 3, 0.3)
-    click_batch = sample_dprcv1(u6, 3, 0.3, 100_000, 502)
-    tv_click = empirical_tv(click_batch.outcomes, table.patterns(), table.probabilities())
-    assert tv_click <= 0.01
-
-    # coarse-grained radial sampling matches the discretized sampler
-    u3 = haar_unitary(3, 510)
-    t = 0.4
-    radial = sample_prcv1(u3, 2, 30_000, 511)
-    coarse = (radial.outcomes <= t).astype(int)
-    direct = sample_dprcv1(u3, 2, t, 30_000, 512)
-    keys = list(itertools.product((0, 1), repeat=3))
-    count_a = [np.sum((coarse == np.array(k)).all(axis=1)) for k in keys]
-    count_b = [np.sum((direct.outcomes == np.array(k)).all(axis=1)) for k in keys]
-    contingency = np.array([count_a, count_b], dtype=float)
-    contingency = contingency[:, contingency.sum(axis=0) > 0]
-    p_value = stats.chi2_contingency(contingency).pvalue
-    assert p_value > 0.001
-
-    # bit-identical batches across thread counts
-    u2 = haar_unitary(2, 520)
-    assert np.array_equal(
-        sample_fock(u6, 3, 5000, 77).outcomes,
-        sample_fock(u6, 3, 5000, 77, threads=4).outcomes,
-    )
-    assert np.array_equal(
-        sample_dprcv1(u6, 3, 0.3, 5000, 77).outcomes,
-        sample_dprcv1(u6, 3, 0.3, 5000, 77, threads=3).outcomes,
-    )
-    assert np.array_equal(
-        sample_prcv1(u3, 2, 2000, 77).outcomes,
-        sample_prcv1(u3, 2, 2000, 77, threads=5).outcomes,
-    )
-    assert np.array_equal(
-        sample_cv1(u2, 1, 300, 77).outcomes,
-        sample_cv1(u2, 1, 300, 77, threads=2).outcomes,
-    )
-    elapsed = time.perf_counter() - start
-    assert elapsed < 180.0
-    print(
-        f"ACCEPTANCE 6 PASS: TV fock {tv_fock:.4f}, TV click {tv_click:.4f}, "
-        f"coarse-grain p {p_value:.3f} ({elapsed:.2f}s)"
-    )
+def test_criterion_5_leading_order_law(results):
+    _criterion(results, 5, 120.0, "leading-order")
 
 
-def test_criterion_7_bound_chain():
-    start = time.perf_counter()
-    rng = np.random.default_rng(6281)
-    for _ in range(10_000):
-        lower = rng.uniform(0.01, 1.0)
-        perm_sq = lower * rng.uniform(1.0, 10.0)
-        error = rng.uniform(-0.499, 0.499) * lower
-        g = 1.0 + rng.uniform(1e-6, 3.0)
-        p_tilde = rng.uniform(
-            (perm_sq + error) / g * (1 + 1e-12), (perm_sq + error) * g * (1 - 1e-12)
-        )
-        assert mult_bound_check(perm_sq, error, lower, g, p_tilde).passed
-    for _ in range(1000):
-        lower = rng.uniform(0.01, 1.0)
-        ratio = rng.uniform(0.5, 3.0)
-        verdict = mult_bound_check(2 * lower, ratio * lower, lower, 1.5, lower)
-        assert not verdict.applicable
-    exact = mult_bound_check(0.7, 0.0, 0.3, 1.05, 0.7)
-    assert exact.g_prime == 1.05  # E = 0 reduces g' to g exactly
-    elapsed = time.perf_counter() - start
-    print(f"ACCEPTANCE 7 PASS: bound chain fuzz ({elapsed:.2f}s)")
+def test_criterion_6_samplers(results):
+    _criterion(results, 6, 180.0, "sampler-total-variation", "dprcv1-total-variation",
+               "sampler-determinism", "coarse-graining-consistency")
 
 
-def test_criterion_8_hong_ou_mandel():
-    start = time.perf_counter()
-    bs = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert abs(fock_amplitude(bs, (1, 1))) ** 2 <= 1e-20
-    assert abs(fock_amplitude(bs, (2, 0))) ** 2 == pytest.approx(0.5, abs=1e-12)
-    assert abs(fock_amplitude(bs, (0, 2))) ** 2 == pytest.approx(0.5, abs=1e-12)
-    for t in (0.05, 0.2, 0.7):
-        expected = g_function(t, 0) * g_function(t, 2)
-        assert abs(prob_dprcv(bs, (1, 1), t, 2) - expected) <= 1e-12
-    elapsed = time.perf_counter() - start
-    print(f"ACCEPTANCE 8 PASS: Hong-Ou-Mandel physics ({elapsed:.2f}s)")
+def test_criterion_7_bound_chain(results):
+    _criterion(results, 7, float("inf"), "bound-chain")
+
+
+def test_criterion_8_hong_ou_mandel(results):
+    _criterion(results, 8, float("inf"), "hong-ou-mandel")

@@ -16,20 +16,21 @@ import pytest
 from scipy.integrate import quad
 
 from cvboson.povm import (
-    CVOutcome,
     DetectorConfig,
     TruncatedOperator,
     cvn_povm_element,
-    dark_count_probability,
     detector_curves,
-    detector_efficiency,
     dprcv1_povm,
-    g_function,
-    laguerre,
-    lower_incomplete_gamma,
     prcv_completeness_residual,
     prcv_phase_average,
     prcv_povm_diag,
+)
+from cvboson.special import (
+    dark_count_probability,
+    detector_efficiency,
+    g_function,
+    laguerre,
+    lower_incomplete_gamma,
 )
 
 
@@ -332,21 +333,9 @@ class TestCompleteness:
 
 
 class TestConfigTypes:
-    def test_detector_from_bits(self):
-        config = DetectorConfig.from_bits(2)
-        assert config.threshold_t == pytest.approx(2 / 3)
-        with pytest.raises(ValueError):
-            DetectorConfig(threshold_t=0.5, bits_b=2)
-
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             DetectorConfig(threshold_t=0.0)
-
-    def test_cv_outcome_consistency(self):
-        outcome = CVOutcome.from_alpha(0.3 + 0.4j)
-        assert outcome.R == pytest.approx(0.25)
-        with pytest.raises(ValueError):
-            CVOutcome(x1=1.0, p2=0.0, alpha=1.0 + 0j, R=2.0)
 
     def test_truncated_operator_shape_checked(self):
         with pytest.raises(ValueError):

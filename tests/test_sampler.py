@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cvboson.sampler import (
     sample_prcv1,
 )
 from cvboson.special import detector_efficiency, g_function
+from cvboson.verify import empirical_tv
 
 
 def chi_square_pvalue(counts, expected):
@@ -59,16 +61,6 @@ def kuiper_pvalue(values):
     for j in range(1, 12):
         total += (4 * j**2 * lam**2 - 1) * math.exp(-2 * j**2 * lam**2)
     return min(1.0, 2 * total)
-
-
-def empirical_tv(outcomes, patterns, probabilities):
-    counts = {}
-    for row in map(tuple, outcomes):
-        counts[row] = counts.get(row, 0) + 1
-    shots = len(outcomes)
-    return 0.5 * sum(
-        abs(counts.get(p, 0) / shots - q) for p, q in zip(patterns, probabilities)
-    )
 
 
 class TestDeterminism:
@@ -276,6 +268,17 @@ class TestCvSampler:
             exact = prob_dprcv(u, target, t, 1)
             margin = 4 * math.sqrt(exact * (1 - exact) / 4000) + 0.004
             assert abs(frac - exact) <= margin
+
+    def test_first_mode_weights_stay_small(self):
+        # the first mode's weights must not hold a (grid cells) x (N+1)^(M-1)
+        # contraction: 134 MB at M=4, N=3 on the default grid
+        tracemalloc.start()
+        try:
+            sample_cv1(haar_unitary(4, 3), 3, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_guard(self):
         with pytest.raises(GuardLimitError):
