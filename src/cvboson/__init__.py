@@ -19,7 +19,6 @@ from .fock import (
 )
 from .permanent import permanent_naive, permanent_ryser
 from .povm import (
-    DetectorConfig,
     TruncatedOperator,
     cvn_povm_element,
     detector_curves,
@@ -69,7 +68,6 @@ __all__ = [
     "submatrix_with_multiplicity",
     "permanent_naive",
     "permanent_ryser",
-    "DetectorConfig",
     "TruncatedOperator",
     "cvn_povm_element",
     "dark_count_probability",

@@ -25,7 +25,7 @@ from .fock import (
     fock_amplitude,
 )
 from .permanent import permanent_ryser_batch
-from .povm import DetectorConfig, prcv_povm_diag
+from .povm import prcv_povm_diag
 from .special import g_function
 
 def check_click_pattern(pattern, modes=None):
@@ -165,7 +165,7 @@ def prob_dprcv(u, clicks, t, photons):
 
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """Full click-pattern distribution for one detector setting.
+    """Full click-pattern distribution at click threshold t.
 
     probs[i] is the probability of the click pattern whose bits, mode 0
     first, are the M binary digits of i; that is lexicographic pattern order.
@@ -173,7 +173,7 @@ class DistributionTable:
     single truth value).
     """
 
-    detector: DetectorConfig
+    t: float
     probs: np.ndarray
     normalization_residual: float
 
@@ -233,8 +233,7 @@ def distribution_table(u, photons, t):
     probs = _click_table(weights, np.asarray(patterns), g_vals, gbar_vals)
     probs.flags.writeable = False
     residual = abs(math.fsum(probs) - 1.0)
-    detector = DetectorConfig(ancilla_n=1, threshold_t=t)
-    return DistributionTable(detector=detector, probs=probs, normalization_residual=residual)
+    return DistributionTable(t=t, probs=probs, normalization_residual=residual)
 
 
 def leading_order(u, clicks, t, photons=None):
@@ -245,7 +244,8 @@ def leading_order(u, clicks, t, photons=None):
     dominant term of prob_dprcv as t -> 0, and neighbor_mass is the summed
     squared permanent over all patterns obtained by interchanging one click
     and one non-click. The neighbor mass never exceeds one (the squared
-    permanents form a probability distribution over patterns).
+    permanents form a probability distribution over patterns). Guarded on
+    the neighbor count N(M - N), checked before any permanent.
     """
     u = check_unitary(u)
     modes = u.shape[0]
@@ -256,10 +256,11 @@ def leading_order(u, clicks, t, photons=None):
             f"pattern has {n_clicks} clicks but {photons} photons were requested"
         )
     t = check_threshold(t)
-    leading = abs(fock_amplitude(u, clicks)) ** 2 * t**n_clicks
-    neighbor_mass = 0.0
     ones = [j for j, m in enumerate(clicks) if m == 1]
     zeros = [j for j, m in enumerate(clicks) if m == 0]
+    check_size("leading order neighbors", len(ones) * len(zeros))
+    leading = abs(fock_amplitude(u, clicks)) ** 2 * t**n_clicks
+    neighbor_mass = 0.0
     for i in ones:
         for j in zeros:
             swapped = list(clicks)

@@ -26,6 +26,7 @@ SIZE_LIMITS = {
     "density photons": 4,
     "click table modes": 12,
     "click table photons": 4,
+    "leading order neighbors": 1_000,
     "fock sampler modes": 10,
     "fock sampler photons": 4,
     "prcv1 sampler modes": 12,

@@ -107,9 +107,7 @@ def estimate_perm_from_samples(batch, t, photons):
     """
     if batch.kind != "dprcv1":
         raise ValueError(f"expected a dprcv1 batch, got {batch.kind!r}")
-    if batch.detector is None or not math.isclose(
-        batch.detector.threshold_t, t, rel_tol=1e-12
-    ):
+    if not math.isclose(batch.t, t, rel_tol=1e-12):
         raise ValueError("batch threshold does not match t")
     outcomes = np.asarray(batch.outcomes)
     shots, modes = outcomes.shape

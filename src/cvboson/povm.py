@@ -24,24 +24,6 @@ from .special import dark_count_probability, detector_efficiency, g_function, la
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    """Detector parameters: Fock ancilla and click threshold.
-
-    threshold_t is None for the continuous (CV / PRCV) variants; a b-bit
-    readout's threshold is estimate.t_from_bits(b).
-    """
-
-    ancilla_n: int = 1
-    threshold_t: float | None = None
-
-    def __post_init__(self):
-        if self.ancilla_n < 0:
-            raise ValueError(f"ancilla photon number must be >= 0, got {self.ancilla_n}")
-        if self.threshold_t is not None and not self.threshold_t > 0:
-            raise ValueError(f"threshold must be positive, got {self.threshold_t}")
-
-
-@dataclass(frozen=True)
 class TruncatedOperator:
     """Operator on Fock space truncated at photon number `cutoff`."""
 

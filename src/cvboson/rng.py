@@ -16,6 +16,9 @@ Stream layout (documented so results can be reproduced elsewhere):
 * samplers use stream = shot index; the complex-Gaussian stream used for
   unitary generation is stream 2**64 - 1, consumed in row-major entry order,
   one Box-Muller pair of uniforms per matrix entry.
+* per shot of an M-mode sampler, uniform 0 picks the table index by inverse
+  CDF; uniforms 1..M are the prcv1 radii of modes 0..M-1, uniforms 1..M-1 the
+  cv1 cells of modes 1..M-1, and fock and dprcv1 read uniform 0 only.
 """
 
 import numpy as np

@@ -1,8 +1,9 @@
-"""Exact seeded samplers for the three detector variants.
+"""Exact seeded samplers: bare Fock patterns and the three detector variants.
 
 Every sampler draws shot i from a counter-based stream keyed by (seed, i)
 (see cvboson.rng), so batches are reproducible bit-for-bit regardless of how
-the shot range is chunked across threads.
+the shot range is chunked across threads. All four share one draw: uniform 0
+picks a table index, and the shot's other uniforms feed a per-mode response.
 """
 
 import math
@@ -15,7 +16,6 @@ import numpy as np
 from .distribution import amplitude_table, check_threshold, distribution_table
 from .errors import check_size
 from .fock import check_unitary
-from .povm import DetectorConfig
 from .rng import shot_uniforms
 from .special import g_function
 
@@ -26,14 +26,14 @@ class SampleBatch:
 
     outcomes holds one row per shot: occupation vectors (fock), 0/1 click
     vectors (dprcv1), non-negative radii (prcv1), or complex amplitudes (cv1).
+    t is the click threshold of a dprcv1 batch and None otherwise.
     Regenerating with the same seed reproduces the batch exactly.
     """
 
     seed: int
-    shots: int
-    detector: DetectorConfig | None
+    t: float | None
     outcomes: np.ndarray
-    kind: str = ""
+    kind: str
 
 
 def _check_shots(shots):
@@ -47,19 +47,6 @@ def _thread_count(threads, shots):
     return max(1, min(int(threads), os.cpu_count() or 1, shots))
 
 
-def _run_chunked(worker, shots, threads):
-    """Assemble worker(first, count) chunks; identical output for any chunking."""
-    threads = _thread_count(threads, shots)
-    if threads == 1 or shots < 2 * threads:
-        return worker(0, shots)
-    bounds = np.linspace(0, shots, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda se: worker(se[0], se[1] - se[0]), zip(bounds[:-1], bounds[1:]))
-        )
-    return np.concatenate(parts, axis=0)
-
-
 def _inverse_cdf_draw(cdf, u):
     """Indices of inverse-CDF draws; u is scaled by the total so float drift
     in the cumulative sum cannot push a draw out of range."""
@@ -67,23 +54,45 @@ def _inverse_cdf_draw(cdf, u):
     return np.minimum(idx, len(cdf) - 1)
 
 
-def sample_fock(u, photons, shots, seed, threads=1):
-    """I.i.d. occupation patterns from the exact squared-amplitude table."""
-    _check_shots(shots)
-    u = check_unitary(u)
-    modes = u.shape[0]
-    check_size("fock sampler modes", modes)
-    check_size("fock sampler photons", photons)
-    patterns, amps = amplitude_table(u, photons)
-    pattern_array = np.asarray(patterns, dtype=int)
-    cdf = np.cumsum(np.abs(amps) ** 2)
+def _draw(kind, weights, per_shot, respond, shots, seed, threads, t=None):
+    """The one sampler core. Shot i reads per_shot uniforms of stream (seed, i):
+    uniform 0 picks an index into `weights` by inverse CDF, and respond(index,
+    rest) maps the indices and the other uniforms to outcome rows. Any split of
+    the shots over threads gives the same outcomes."""
+    cdf = np.cumsum(weights)
 
     def worker(first, count):
-        uniforms = shot_uniforms(seed, count, 1, first)[:, 0]
-        return pattern_array[_inverse_cdf_draw(cdf, uniforms)]
+        uniforms = shot_uniforms(seed, count, per_shot, first)
+        return respond(_inverse_cdf_draw(cdf, uniforms[:, 0]), uniforms[:, 1:])
 
-    outcomes = _run_chunked(worker, shots, threads)
-    return SampleBatch(seed=seed, shots=shots, detector=None, outcomes=outcomes, kind="fock")
+    threads = _thread_count(threads, shots)
+    if threads == 1 or shots < 2 * threads:
+        outcomes = worker(0, shots)
+    else:
+        bounds = np.linspace(0, shots, threads + 1, dtype=int)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(worker, bounds[:-1], np.diff(bounds)))
+        outcomes = np.concatenate(chunks, axis=0)
+    return SampleBatch(seed=seed, t=t, outcomes=outcomes, kind=kind)
+
+
+def _amplitudes(u, photons, shots, kind):
+    """Occupation patterns (one row each) and their amplitudes, after the shot
+    count, the unitary and the `kind` sampler's size guards are checked."""
+    _check_shots(shots)
+    u = check_unitary(u)
+    check_size(f"{kind} sampler modes", u.shape[0])
+    check_size(f"{kind} sampler photons", photons)
+    patterns, amps = amplitude_table(u, photons)
+    return np.asarray(patterns, dtype=int), amps
+
+
+def sample_fock(u, photons, shots, seed, threads=1):
+    """I.i.d. occupation patterns from the exact squared-amplitude table."""
+    patterns, amps = _amplitudes(u, photons, shots, "fock")
+    return _draw(
+        "fock", np.abs(amps) ** 2, 1, lambda index, _: patterns[index], shots, seed, threads
+    )
 
 
 def sample_dprcv1(u, photons, t, shots, seed, threads=1):
@@ -95,17 +104,12 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     _check_shots(shots)
     t = check_threshold(t)
     table = distribution_table(u, photons, t)
-    cdf = np.cumsum(table.probabilities())
     shifts = np.arange(table.modes - 1, -1, -1)
 
-    def worker(first, count):
-        uniforms = shot_uniforms(seed, count, 1, first)[:, 0]
-        return (_inverse_cdf_draw(cdf, uniforms)[:, None] >> shifts) & 1
+    def respond(index, _):
+        return (index[:, None] >> shifts) & 1
 
-    outcomes = _run_chunked(worker, shots, threads)
-    return SampleBatch(
-        seed=seed, shots=shots, detector=table.detector, outcomes=outcomes, kind="dprcv1"
-    )
+    return _draw("dprcv1", table.probabilities(), 1, respond, shots, seed, threads, t=t)
 
 
 def _invert_click_cdf(u_values, k, tol=1e-12):
@@ -135,27 +139,18 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
     amplitudes, then each mode's radius inverts its Fock-level click CDF
     G(., n_j) by bracketed bisection (radius tolerance 1e-12).
     """
-    _check_shots(shots)
-    u = check_unitary(u)
-    modes = u.shape[0]
-    check_size("prcv1 sampler modes", modes)
-    check_size("prcv1 sampler photons", photons)
-    patterns, amps = amplitude_table(u, photons)
-    pattern_array = np.asarray(patterns, dtype=int)
-    cdf = np.cumsum(np.abs(amps) ** 2)
+    patterns, amps = _amplitudes(u, photons, shots, "prcv1")
 
-    def worker(first, count):
-        uniforms = shot_uniforms(seed, count, 1 + modes, first)
-        occ = pattern_array[_inverse_cdf_draw(cdf, uniforms[:, 0])]
-        radii = np.empty((count, modes))
+    def respond(index, rest):
+        occ = patterns[index]
+        radii = np.empty(occ.shape)
         for level in range(photons + 1):
             mask = occ == level
-            radii[mask] = _invert_click_cdf(uniforms[:, 1:][mask], level)
+            radii[mask] = _invert_click_cdf(rest[mask], level)
         return radii
 
-    outcomes = _run_chunked(worker, shots, threads)
-    detector = DetectorConfig(ancilla_n=1)
-    return SampleBatch(seed=seed, shots=shots, detector=detector, outcomes=outcomes, kind="prcv1")
+    per_shot = 1 + patterns.shape[1]
+    return _draw("prcv1", np.abs(amps) ** 2, per_shot, respond, shots, seed, threads)
 
 
 def _radial_grid(n_radial, max_level, tail_eps=1e-10):
@@ -202,14 +197,10 @@ def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threa
     a cell is drawn by inverse CDF over the grid. Exact up to the grid
     discretization.
     """
-    _check_shots(shots)
-    u = check_unitary(u)
-    modes = u.shape[0]
-    check_size("cv1 sampler modes", modes)
-    check_size("cv1 sampler photons", photons)
-    patterns, amps = amplitude_table(u, photons)
+    patterns, amps = _amplitudes(u, photons, shots, "cv1")
+    modes = patterns.shape[1]
     amp_tensor = np.zeros((photons + 1,) * modes, dtype=complex)
-    amp_tensor[tuple(np.asarray(patterns).T)] = amps
+    amp_tensor[tuple(patterns.T)] = amps
 
     r_nodes, r_widths = _radial_grid(grid_radial, photons)
     angles = 2.0 * np.pi * (np.arange(grid_angular) + 0.5) / grid_angular
@@ -219,29 +210,25 @@ def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threa
     overlap = _mode_overlap_columns(alpha_nodes, photons)
 
     # The first mode's cell weights do not depend on earlier outcomes: each is the
-    # quadratic form v+ (T T+) v of its node's overlap row v. Later modes are per shot.
+    # cell size times the quadratic form v+ (T T+) v of its node's overlap row v,
+    # and T T+ is diagonal because every pattern holds all N photons. Later modes
+    # are drawn per shot.
     first_rows = amp_tensor.reshape(photons + 1, -1)
-    gram = first_rows @ first_rows.conj().T
-    first_weights = ((overlap @ gram) * overlap.conj()).sum(axis=1).real
-    first_cdf = np.cumsum(first_weights * measure)
+    first_weights = (np.abs(overlap) ** 2 @ (np.abs(first_rows) ** 2).sum(axis=1)) * measure
 
-    def worker(first, count):
-        uniforms = shot_uniforms(seed, count, modes, first)
-        out = np.empty((count, modes), dtype=complex)
-        idx0 = _inverse_cdf_draw(first_cdf, uniforms[:, 0])
-        out[:, 0] = alpha_nodes[idx0]
+    def respond(index, rest):
+        out = np.empty((len(index), modes), dtype=complex)
+        out[:, 0] = alpha_nodes[index]
         if modes == 1:
             return out
-        for shot in range(count):
-            tensor = (overlap[idx0[shot]] @ first_rows).reshape((photons + 1,) * (modes - 1))
+        for shot in range(len(index)):
+            tensor = overlap[index[shot]] @ first_rows
             for j in range(1, modes):
                 contract = overlap @ tensor.reshape(photons + 1, -1)
                 weights = (np.abs(contract) ** 2).sum(axis=1) * measure
-                cell = _inverse_cdf_draw(np.cumsum(weights), uniforms[shot, j])
+                cell = _inverse_cdf_draw(np.cumsum(weights), rest[shot, j - 1])
                 out[shot, j] = alpha_nodes[cell]
                 tensor = contract[cell]
         return out
 
-    outcomes = _run_chunked(worker, shots, threads)
-    detector = DetectorConfig(ancilla_n=1)
-    return SampleBatch(seed=seed, shots=shots, detector=detector, outcomes=outcomes, kind="cv1")
+    return _draw("cv1", first_weights, modes, respond, shots, seed, threads)

@@ -27,7 +27,7 @@ from cvboson.distribution import (
     prob_dprcv,
     radial_tail_cutoff,
 )
-from cvboson.errors import GuardLimitError, InvalidPatternError
+from cvboson.errors import SIZE_LIMITS, GuardLimitError, InvalidPatternError
 from cvboson.fock import (
     displacement_element,
     enumerate_fock_patterns,
@@ -279,6 +279,16 @@ class TestLeadingOrder:
     def test_click_count_mismatch_rejected(self):
         with pytest.raises(InvalidPatternError):
             leading_order(np.eye(3), (1, 1, 0), 1e-3, photons=3)
+
+    def test_neighbor_count_guarded_before_any_permanent(self, monkeypatch):
+        monkeypatch.setitem(SIZE_LIMITS, "leading order neighbors", 3)
+
+        def no_permanents(*args):
+            raise AssertionError("a permanent was evaluated before the guard")
+
+        monkeypatch.setattr(distribution, "fock_amplitude", no_permanents)
+        with pytest.raises(GuardLimitError, match="leading order neighbors"):
+            leading_order(np.eye(4), (1, 1, 0, 0), 1e-3)  # 2 * 2 = 4 neighbors
 
 
 def test_amplitude_table_normalized():

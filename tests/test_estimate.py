@@ -17,7 +17,7 @@ from cvboson.estimate import (
     t_from_bits,
 )
 from cvboson.fock import fock_amplitude, haar_unitary
-from cvboson.sampler import sample_dprcv1
+from cvboson.sampler import sample_dprcv1, sample_fock
 
 
 class TestThresholdFromBits:
@@ -125,8 +125,13 @@ class TestFrequencyEstimator:
 
     def test_threshold_mismatch_rejected(self):
         batch = sample_dprcv1(np.eye(1), 1, 0.01, 100, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match"):
             estimate_perm_from_samples(batch, 0.02, 1)
+
+    def test_non_dprcv1_batch_rejected(self):
+        batch = sample_fock(np.eye(1), 1, 100, 3)
+        with pytest.raises(ValueError, match="expected a dprcv1 batch"):
+            estimate_perm_from_samples(batch, 0.01, 1)
 
     def test_empty_batch_rejected(self):
         batch = sample_dprcv1(haar_unitary(3, 1), 2, 0.1, 0, 1)

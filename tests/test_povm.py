@@ -16,7 +16,6 @@ import pytest
 from scipy.integrate import quad
 
 from cvboson.povm import (
-    DetectorConfig,
     TruncatedOperator,
     cvn_povm_element,
     detector_curves,
@@ -333,10 +332,6 @@ class TestCompleteness:
 
 
 class TestConfigTypes:
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(threshold_t=0.0)
-
     def test_truncated_operator_shape_checked(self):
         with pytest.raises(ValueError):
             TruncatedOperator(cutoff=3, entries=np.eye(3))
