@@ -164,20 +164,9 @@ def _cmd_sample(args):
         if args.t is None:
             raise UsageError("--t is required for the dprcv1 detector")
         batch = sample_dprcv1(u, args.photons, args.t, args.shots, seed, threads=args.threads)
-    elif args.detector == "prcv1":
-        batch = sample_prcv1(u, args.photons, args.shots, seed, threads=args.threads)
-    elif args.detector == "cv1":
-        batch = sample_cv1(
-            u,
-            args.photons,
-            args.shots,
-            seed,
-            grid_radial=args.grid_radial,
-            grid_angular=args.grid_angular,
-            threads=args.threads,
-        )
     else:
-        batch = sample_fock(u, args.photons, args.shots, seed, threads=args.threads)
+        sampler = {"fock": sample_fock, "prcv1": sample_prcv1, "cv1": sample_cv1}[args.detector]
+        batch = sampler(u, args.photons, args.shots, seed, threads=args.threads)
     meta = {
         "command": "sample",
         "unitary": args.unitary,
@@ -188,9 +177,6 @@ def _cmd_sample(args):
     }
     if args.t is not None:
         meta["t"] = fmt17(args.t)
-    if args.detector == "cv1":
-        meta["grid_radial"] = args.grid_radial
-        meta["grid_angular"] = args.grid_angular
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
     write_csv(args.out, ["shot", "outcome"], _outcome_lines(batch.kind, batch.outcomes), meta)
@@ -300,8 +286,6 @@ def build_parser():
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--grid-radial", type=int, default=512)
-    p.add_argument("--grid-angular", type=int, default=256)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

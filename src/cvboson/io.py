@@ -99,23 +99,3 @@ def write_csv(path, columns, rows, meta=None):
                 writer.writerow(
                     [fmt17(cell) if isinstance(cell, float) else cell for cell in row]
                 )
-
-
-def read_csv(path):
-    """Read a CSV written by write_csv; returns (metadata dict, header, rows of strings)."""
-    meta = {}
-    rows = []
-    header = None
-    with open(path, newline="") as handle:
-        for line in handle:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-        handle.seek(0)
-        reader = csv.reader(row for row in handle if not row.startswith("#"))
-        for record in reader:
-            if header is None:
-                header = record
-            else:
-                rows.append(record)
-    return meta, header, rows

@@ -17,8 +17,9 @@ Stream layout (documented so results can be reproduced elsewhere):
   unitary generation is stream 2**64 - 1, consumed in row-major entry order,
   one Box-Muller pair of uniforms per matrix entry.
 * per shot of an M-mode sampler, uniform 0 picks the table index by inverse
-  CDF; uniforms 1..M are the prcv1 radii of modes 0..M-1, uniforms 1..M-1 the
-  cv1 cells of modes 1..M-1, and fock and dprcv1 read uniform 0 only.
+  CDF; fock and dprcv1 read uniform 0 only, and uniforms 1..M are the prcv1
+  radii of modes 0..M-1. cv1 reads 3M uniforms: 3j, 3j+1 and 3j+2 are mode
+  j's Fock level, radius and angle (uniform 0 is mode 0's level).
 """
 
 import numpy as np

@@ -112,24 +112,34 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     return _draw("dprcv1", table.probabilities(), 1, respond, shots, seed, threads, t=t)
 
 
-def _invert_click_cdf(u_values, k, tol=1e-12):
-    """Solve G(R, k) = u by bracketed bisection, vectorized over u."""
-    u_values = np.asarray(u_values, dtype=float)
-    if u_values.size == 0:
-        return np.empty(0)
-    hi = 64.0
-    while g_function(hi, k) <= u_values.max():
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError(f"no bracket for click CDF inversion at level {k}")
-    lo = np.zeros_like(u_values)
-    hi_v = np.full_like(u_values, hi)
+def _bisect(f, targets, hi, tol):
+    """Solve f(x) = targets on [0, hi] by bisection, elementwise, for a
+    non-decreasing f evaluated on arrays aligned with targets."""
+    lo = np.zeros_like(targets)
+    hi_v = np.full_like(targets, hi)
     for _ in range(int(math.ceil(math.log2(hi / tol))) + 2):
         mid = 0.5 * (lo + hi_v)
-        below = g_function(mid, k) < u_values
+        below = f(mid) < targets
         lo = np.where(below, mid, lo)
         hi_v = np.where(below, hi_v, mid)
     return 0.5 * (lo + hi_v)
+
+
+def _invert_click_cdf(u_values, levels, tol=1e-12):
+    """The phase-randomized detector's radius response: R solving
+    G(R, levels[i]) = u_values[i], by bracketed bisection per Fock level."""
+    u_values = np.asarray(u_values, dtype=float)
+    levels = np.broadcast_to(levels, u_values.shape)
+    radii = np.empty(u_values.shape)
+    for k in np.unique(levels):
+        mask = levels == k
+        hi = 64.0
+        while g_function(hi, k) <= u_values[mask].max():
+            hi *= 2.0
+            if hi > 1e9:
+                raise RuntimeError(f"no bracket for click CDF inversion at level {k}")
+        radii[mask] = _bisect(lambda r, k=k: g_function(r, k), u_values[mask], hi, tol)
+    return radii
 
 
 def sample_prcv1(u, photons, shots, seed, threads=1):
@@ -142,37 +152,14 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
     patterns, amps = _amplitudes(u, photons, shots, "prcv1")
 
     def respond(index, rest):
-        occ = patterns[index]
-        radii = np.empty(occ.shape)
-        for level in range(photons + 1):
-            mask = occ == level
-            radii[mask] = _invert_click_cdf(rest[mask], level)
-        return radii
+        return _invert_click_cdf(rest, patterns[index])
 
     per_shot = 1 + patterns.shape[1]
     return _draw("prcv1", np.abs(amps) ** 2, per_shot, respond, shots, seed, threads)
 
 
-def _radial_grid(n_radial, max_level, tail_eps=1e-10):
-    """Uniform midpoint grid in R = |alpha|^2, capped where every Fock level
-    up to max_level has tail mass below tail_eps.
-
-    Equal-mass (quantile) spacing is tempting here but fails: the reference
-    response has an interior zero, so equal-mass cells become arbitrarily
-    wide near it and in the tail, and midpoint weights then misstate the
-    cell masses. A uniform grid keeps the midpoint rule O(width^2) accurate
-    everywhere.
-    """
-    r_cap = 32.0
-    while any(1.0 - g_function(r_cap, v) > tail_eps for v in range(max_level + 1)):
-        r_cap *= 2.0
-    width = r_cap / n_radial
-    nodes = (np.arange(n_radial) + 0.5) * width
-    return nodes, np.full(n_radial, width)
-
-
 def _mode_overlap_columns(alphas, photons):
-    """Matrix V[node, v] = <1|D+(alpha_node)|v> for v = 0..photons, vectorized."""
+    """Matrix V[i, v] = <1|D+(alphas[i])|v> for v = 0..photons, vectorized."""
     alphas = np.asarray(alphas, dtype=complex)
     a2 = np.abs(alphas) ** 2
     envelope = np.exp(-a2 / 2.0)
@@ -188,47 +175,77 @@ def _mode_overlap_columns(alphas, photons):
     return cols
 
 
-def sample_cv1(u, photons, shots, seed, grid_radial=512, grid_angular=256, threads=1):
-    """I.i.d. complex outcome vectors from the joint CV-1 density.
+def _angle_response(radii, gram, u_values, photons):
+    """CV-1 angles in [0, 2 pi) at the given radii, inverting their conditional
+    CDF (angle tolerance 1e-12); gram[i, a, b] = <T_a, T_b> over the level
+    blocks of shot i's conditional tensor T.
 
-    Sequential per-mode sampling on a polar grid (uniform in R = |alpha|^2
-    and in angle): each mode's conditional density given the previous
-    outcomes is obtained by contracting the truncated amplitude tensor, and
-    a cell is drawn by inverse CDF over the grid. Exact up to the grid
-    discretization.
+    With <1|D+(sqrt(R) e^{i theta})|a> = r_a e^{-i (a-1) theta}, r_a real, the
+    density is c_0 + 2 Re sum_{d>=1} c_d e^{-i d theta} with
+    c_d = sum_a r_a r_{a+d} <T_a, T_{a+d}>, so its integral from 0 is
+    c_0 theta + 2 Re sum_d c_d (1 - e^{-i d theta}) / (i d).
+    """
+    r = _mode_overlap_columns(np.sqrt(radii), photons).real
+    weights = r[:, :, None] * r[:, None, :] * gram
+    c0 = np.trace(weights, 0, 1, 2).real
+    coeffs = np.empty((len(radii), photons), dtype=complex)  # c_d / (i d)
+    for d in range(1, photons + 1):
+        coeffs[:, d - 1] = np.trace(weights, d, 1, 2) / (1j * d)
+    steps = np.arange(1, photons + 1)
+
+    def integral(theta):
+        ripple = coeffs * (1.0 - np.exp(-1j * theta[:, None] * steps))
+        return c0 * theta + 2.0 * ripple.sum(axis=1).real
+
+    return _bisect(integral, u_values * (2.0 * np.pi) * c0, 2.0 * np.pi, 1e-12)
+
+
+# The cv1 response walks its shots in blocks of this many complex values of
+# conditional tensor ((N+1)^M per shot): this bounds its memory, while large
+# blocks keep the per-call cost of the radius bisection small.
+_CV1_BLOCK_VALUES = 1 << 21
+
+
+def sample_cv1(u, photons, shots, seed, threads=1):
+    """I.i.d. complex outcome vectors from the joint CV-1 density, drawn exactly
+    mode by mode.
+
+    Mode j's conditional state given the earlier outcomes is a tensor T over
+    the Fock levels of modes j..M-1. Its radius R = |alpha|^2 is the mixture
+    of the PRCV-1 level densities weighted by ||T_v||^2 over mode j's levels v:
+    a level is drawn by those weights (mode 0's are the same for every shot)
+    and R inverts that level's click CDF as in prcv1. The angle then inverts
+    its conditional CDF given R, and T <- sum_v <1|D+(alpha)|v> T_v.
     """
     patterns, amps = _amplitudes(u, photons, shots, "cv1")
     modes = patterns.shape[1]
-    amp_tensor = np.zeros((photons + 1,) * modes, dtype=complex)
+    levels = photons + 1
+    amp_tensor = np.zeros((levels,) * modes, dtype=complex)
     amp_tensor[tuple(patterns.T)] = amps
-
-    r_nodes, r_widths = _radial_grid(grid_radial, photons)
-    angles = 2.0 * np.pi * (np.arange(grid_angular) + 0.5) / grid_angular
-    alpha_nodes = (np.sqrt(r_nodes)[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    # cell size under the outcome measure dR dtheta; constants cancel in the draw
-    measure = np.repeat(r_widths * (2.0 * np.pi / grid_angular), grid_angular)
-    overlap = _mode_overlap_columns(alpha_nodes, photons)
-
-    # The first mode's cell weights do not depend on earlier outcomes: each is the
-    # cell size times the quadratic form v+ (T T+) v of its node's overlap row v,
-    # and T T+ is diagonal because every pattern holds all N photons. Later modes
-    # are drawn per shot.
-    first_rows = amp_tensor.reshape(photons + 1, -1)
-    first_weights = (np.abs(overlap) ** 2 @ (np.abs(first_rows) ** 2).sum(axis=1)) * measure
+    first = amp_tensor.reshape(1, levels, -1)
+    block = max(1, _CV1_BLOCK_VALUES // levels**modes)
 
     def respond(index, rest):
         out = np.empty((len(index), modes), dtype=complex)
-        out[:, 0] = alpha_nodes[index]
-        if modes == 1:
-            return out
-        for shot in range(len(index)):
-            tensor = overlap[index[shot]] @ first_rows
-            for j in range(1, modes):
-                contract = overlap @ tensor.reshape(photons + 1, -1)
-                weights = (np.abs(contract) ** 2).sum(axis=1) * measure
-                cell = _inverse_cdf_draw(np.cumsum(weights), rest[shot, j - 1])
-                out[shot, j] = alpha_nodes[cell]
-                tensor = contract[cell]
+        for start in range(0, len(index), block):
+            level, u_block = index[start : start + block], rest[start : start + block]
+            count = len(level)
+            tensor = first  # shared by every shot until mode 0 is drawn
+            for j in range(modes):
+                gram = tensor.conj() @ tensor.transpose(0, 2, 1)
+                gram = np.broadcast_to(gram, (count, levels, levels))
+                if j:
+                    cdf = np.cumsum(np.diagonal(gram, 0, 1, 2).real, axis=1)
+                    below = cdf <= u_block[:, 3 * j - 1, None] * cdf[:, -1:]
+                    level = np.minimum(below.sum(axis=1), photons)
+                radii = _invert_click_cdf(u_block[:, 3 * j], level)
+                angles = _angle_response(radii, gram, u_block[:, 3 * j + 1], photons)
+                alphas = np.sqrt(radii) * np.exp(1j * angles)
+                out[start : start + count, j] = alphas
+                if j < modes - 1:
+                    overlap = _mode_overlap_columns(alphas, photons)[:, None, :]
+                    tensor = (overlap @ tensor).reshape(count, levels, -1)
         return out
 
-    return _draw("cv1", first_weights, modes, respond, shots, seed, threads)
+    weights = (np.abs(first[0]) ** 2).sum(axis=1)
+    return _draw("cv1", weights, 3 * modes, respond, shots, seed, threads)

@@ -8,13 +8,20 @@ counts, and shot counts, and is the acceptance gate: tests/test_acceptance.py
 runs it and asserts every check by name.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import distribution_table, leading_order, prcv_cell_integral, prob_dprcv
+from .distribution import (
+    density_cv,
+    distribution_table,
+    leading_order,
+    prcv_cell_integral,
+    prob_dprcv,
+)
 from .estimate import deviation_sweep, mult_bound_check
 from .fock import enumerate_fock_patterns, fock_amplitude, haar_unitary, submatrix_with_multiplicity
 from .permanent import permanent_naive, permanent_ryser
@@ -271,6 +278,15 @@ def _check_dprcv1_tv(full):
     return tv <= 0.01, f"TV = {tv:.4f} at 100000 shots"
 
 
+def _chi_square_p(observed, expected):
+    """Chi-square p-value of observed counts over the cells expecting >= 5."""
+    from scipy import stats
+
+    used = expected >= 5
+    deviation = (observed[used] - expected[used]) ** 2 / expected[used]
+    return stats.chi2.sf(float(deviation.sum()), max(1, expected.size - 1))
+
+
 def _check_coarse_graining(full):
     u = haar_unitary(2, 27)
     t = 0.4
@@ -280,14 +296,40 @@ def _check_coarse_graining(full):
     probs = distribution_table(u, 1, t).probabilities()
     # table index of each coarse-grained pattern: mode 0 is the high-order bit
     index = clicks @ (1 << np.arange(clicks.shape[1] - 1, -1, -1))
-    observed = np.bincount(index, minlength=probs.size)
-    expected = probs * shots
-    used = expected >= 5
-    statistic = float(((observed[used] - expected[used]) ** 2 / expected[used]).sum())
-    from scipy import stats
-
-    p_value = stats.chi2.sf(statistic, max(1, probs.size - 1))
+    p_value = _chi_square_p(np.bincount(index, minlength=probs.size), probs * shots)
     return p_value > 0.001, f"chi-square p = {p_value:.4f}"
+
+
+def _check_cv1_joint_density(full):
+    # 8 sectors of (theta_1 - theta_0) mod 2 pi, each split by R_0 < 1 and R_1 < 1:
+    # an error in a later mode's angle draw (a flipped sign, say) moves the
+    # relative angle, which no radial or click statistic sees
+    u = haar_unitary(2, 35)
+    shots = 20_000 if full else 5_000
+    alphas = sample_cv1(u, 1, shots, 71).outcomes
+    sector = np.mod(np.angle(alphas[:, 1] / alphas[:, 0]), 2 * np.pi) // (np.pi / 4)
+    index = 4 * np.minimum(sector, 7).astype(int) + (np.abs(alphas) ** 2 < 1) @ [2, 1]
+    observed = np.bincount(index, minlength=32)
+    # Gauss-Legendre quadrature of density_cv in s = sqrt(R) (dR = 2 s ds) on
+    # [0, 1] and [1, 6] per mode, and in theta_1 over each sector; the density
+    # depends on the angles only through theta_1 - theta_0, so theta_0 = 0 and
+    # the integral over it is a factor 2 pi
+    x, w = np.polynomial.legendre.leggauss(10)
+    s = np.concatenate([0.5 + 0.5 * x, 3.5 + 2.5 * x])
+    s_weights = np.concatenate([0.5 * w, 2.5 * w]) * 2 * s
+    x, w = np.polynomial.legendre.leggauss(2)
+    phis = (np.pi / 8) * (x + 1 + 2 * np.arange(8)[:, None]).ravel()
+    masses = np.zeros(32)
+    for (s0, w0), (s1, w1), (phi, w_phi) in itertools.product(
+        zip(s, s_weights), zip(s, s_weights), zip(phis, np.tile((np.pi / 8) * w, 8))
+    ):
+        cell = 4 * int(phi // (np.pi / 4)) + 2 * (s0 < 1) + (s1 < 1)
+        density = density_cv(u, [s0, s1 * np.exp(1j * phi)], 1)
+        masses[cell] += 2 * np.pi * w0 * w1 * w_phi * density
+    p_value = _chi_square_p(observed, masses * shots)
+    return p_value > 0.001 and abs(masses.sum() - 1) <= 1e-4, (
+        f"chi-square p = {p_value:.3g} over 32 bins; quadrature mass {masses.sum():.6f}"
+    )
 
 
 def _check_bound_chain(full):
@@ -333,6 +375,7 @@ _CHECKS = [
     ("sampler-total-variation", _check_sampler_tv),
     ("dprcv1-total-variation", _check_dprcv1_tv),
     ("coarse-graining-consistency", _check_coarse_graining),
+    ("cv1-joint-density", _check_cv1_joint_density),
     ("bound-chain", _check_bound_chain),
 ]
 

@@ -48,7 +48,7 @@ def test_criterion_5_leading_order_law(results):
 
 def test_criterion_6_samplers(results):
     _criterion(results, 6, 180.0, "sampler-total-variation", "dprcv1-total-variation",
-               "sampler-determinism", "coarse-graining-consistency")
+               "sampler-determinism", "coarse-graining-consistency", "cv1-joint-density")
 
 
 def test_criterion_7_bound_chain(results):

@@ -15,8 +15,28 @@ import pytest
 from cvboson import cli
 from cvboson.cli import main
 from cvboson.fock import haar_unitary
-from cvboson.io import fmt17, read_csv, read_unitary_json, write_csv, write_unitary_json
+from cvboson.io import fmt17, read_unitary_json, write_csv, write_unitary_json
 from cvboson.special import dark_count_probability, detector_efficiency
+
+
+def _read_csv(path):
+    """Read a CSV written by write_csv; returns (metadata dict, header, rows of strings)."""
+    meta = {}
+    rows = []
+    header = None
+    with open(path, newline="") as handle:
+        for line in handle:
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key.strip()] = value
+        handle.seek(0)
+        reader = csv.reader(row for row in handle if not row.startswith("#"))
+        for record in reader:
+            if header is None:
+                header = record
+            else:
+                rows.append(record)
+    return meta, header, rows
 
 
 class TestUnitaryJson:
@@ -40,7 +60,7 @@ class TestCsv:
         path = tmp_path / "x.csv"
         value = 1 / 3
         write_csv(path, ["a", "b"], [[1, value]], {"seed": 5})
-        meta, header, rows = read_csv(path)
+        meta, header, rows = _read_csv(path)
         assert meta["seed"] == "5"
         assert "version" in meta
         assert header == ["a", "b"]
@@ -80,7 +100,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        meta, header, rows = read_csv(out)
+        meta, header, rows = _read_csv(out)
         assert header == ["pattern", "probability"]
         assert len(rows) == 16
         assert rows[0][0] == "0000"  # lexicographic pattern order
@@ -118,7 +138,7 @@ class TestCli:
             assert code == 0
             files.append(out.read_bytes())
         assert files[0] == files[1] == files[2]
-        meta, header, rows = read_csv(tmp_path / "s1.csv")
+        meta, header, rows = _read_csv(tmp_path / "s1.csv")
         assert header == ["shot", "outcome"]
         assert meta["seed"] == "11" and meta["detector"] == "dprcv1"
         assert set(rows[0][1]) <= {"0", "1"}
@@ -144,7 +164,7 @@ class TestCli:
                 str(out),
             ]
         )
-        _, _, rows = read_csv(out)
+        _, _, rows = _read_csv(out)
         radii = [float(x) for x in rows[0][1].split(",")]
         assert len(radii) == 2 and all(r >= 0 for r in radii)
         out2 = tmp_path / "c.csv"
@@ -165,7 +185,7 @@ class TestCli:
                 str(out2),
             ]
         )
-        _, _, rows2 = read_csv(out2)
+        _, _, rows2 = _read_csv(out2)
         parts = [float(x) for x in rows2[0][1].split(",")]
         assert len(parts) == 4  # re, im per mode
 
@@ -175,7 +195,7 @@ class TestCli:
             ["detector-curves", "--t-max", "3", "--points", "301", "--out", str(out)]
         )
         assert code == 0
-        _, header, rows = read_csv(out)
+        _, header, rows = _read_csv(out)
         assert header == ["t", "eta", "p_dark"]
         assert len(rows) == 301
         t_values = np.array([float(r[0]) for r in rows])
@@ -209,7 +229,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        meta, header, rows = read_csv(out)
+        meta, header, rows = _read_csv(out)
         assert header == ["t", "p_exact", "p_over_tN", "delta"]
         assert len(rows) == 8
         assert abs(float(meta["linear_coeff"]) + 1.5) < 0.02
@@ -332,7 +352,7 @@ class TestCli:
                 str(first),
             ]
         )
-        meta, _, _ = read_csv(first)
+        meta, _, _ = _read_csv(first)
         second = tmp_path / "second.csv"
         main(
             [
@@ -373,9 +393,8 @@ GOLDEN_OUTPUTS = {
         {"out.csv": "8ff4f36a97e5228867a651688069f30d1ff22e1c5bc7e4ea4c04eff5b1813fb2"},
     ),
     "cv1": (
-        ["sample", "--photons", "2", "--detector", "cv1", "--shots", "4", "--seed", "14",
-         "--grid-radial", "64", "--grid-angular", "32"],
-        {"out.csv": "d1634b3cb90961ab84dc30e1b6f7acb637a166b7660fd6802de50364a5ccfa08"},
+        ["sample", "--photons", "2", "--detector", "cv1", "--shots", "4", "--seed", "14"],
+        {"out.csv": "0cced643c99bc68fcc6ab556e7e110464994f99ac6467b0796ae22bac5c274f6"},
     ),
     "exact-dist": (
         ["exact-dist", "--photons", "3", "--t", "0.05"],
@@ -446,7 +465,7 @@ def test_sample_with_no_shots_writes_header_only(tmp_path):
     out = tmp_path / "s.csv"
     assert main(["sample", "--unitary", str(upath), "--photons", "1", "--detector",
                  "dprcv1", "--t", "0.1", "--shots", "0", "--seed", "1", "--out", str(out)]) == 0
-    _, header, rows = read_csv(out)
+    _, header, rows = _read_csv(out)
     assert header == ["shot", "outcome"] and rows == []
 
 

@@ -3,9 +3,12 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cvboson import sampler as sampler_module
@@ -209,7 +212,7 @@ class TestCvSampler:
     def test_radius_histogram_matches_radial_density(self):
         batch = sample_cv1(np.eye(1), 1, 50_000, 43)
         radii = np.abs(batch.outcomes[:, 0]) ** 2
-        edges = np.linspace(0, 8, 17)  # bin edges align with the 1/16-wide grid cells
+        edges = np.linspace(0, 8, 17)
         counts, _ = np.histogram(radii, bins=edges)
         cdf = np.array([g_function(e, 1) for e in edges])
         expected = np.diff(cdf) * radii.size
@@ -222,23 +225,7 @@ class TestCvSampler:
         phases = np.angle(batch.outcomes[:, 0]) / (2 * np.pi) + 0.5
         assert kuiper_pvalue(phases) > 0.001
 
-    def test_refining_grid_reduces_discretization_error(self):
-        # deterministic: grid cell weights vs exact cell masses of the
-        # single-photon radial density, total variation halves ~ 4x per 2x
-        from cvboson.sampler import _radial_grid
-
-        tv = {}
-        for n_radial in (128, 256):
-            nodes, widths = _radial_grid(n_radial, 1)
-            edges = np.concatenate([[0.0], np.cumsum(widths)])
-            exact = np.diff([g_function(e, 1) for e in edges])
-            approx = np.exp(-nodes) * (1 - nodes) ** 2 * widths
-            tv[n_radial] = 0.5 * np.abs(approx / approx.sum() - exact / exact.sum()).sum()
-        assert tv[256] < tv[128]
-
     def test_radial_marginal_consistent_with_prcv_sampler(self):
-        # "within grid error": bin on edges aligned with the sampler's radial
-        # cells, so the discretization atoms cannot split across bins
         cv = sample_cv1(np.eye(1), 1, 20_000, 53)
         radial = sample_prcv1(np.eye(1), 1, 20_000, 54)
         edges = np.concatenate([np.linspace(0, 8, 17), [np.inf]])
@@ -263,19 +250,51 @@ class TestCvSampler:
             assert abs(frac - exact) <= margin
 
     def test_first_mode_weights_stay_small(self):
-        # the first mode's weights must not hold a (grid cells) x (N+1)^(M-1)
-        # contraction: 134 MB at M=4, N=3 on the default grid
-        tracemalloc.start()
-        try:
-            sample_cv1(haar_unitary(4, 3), 3, 2, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
+        # the first mode's weights are one per Fock level, and the response
+        # walks its shots in blocks: held for all 20 000 shots at once, the
+        # conditional tensors peak at 52 MB here, and grow with the shot count
+        for shots in (2, 20_000):
+            tracemalloc.start()
+            try:
+                sample_cv1(haar_unitary(4, 3), 3, shots, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40e6, shots
 
     def test_guard(self):
         with pytest.raises(GuardLimitError):
             sample_cv1(haar_unitary(5, 0), 1, 10, 0)
+
+
+_PREFIX_CASES = {
+    "fock": (sample_fock, (haar_unitary(4, 2), 2)),
+    "dprcv1": (sample_dprcv1, (haar_unitary(4, 2), 2, 0.1)),
+    "prcv1": (sample_prcv1, (haar_unitary(3, 4), 2)),
+    "cv1": (sample_cv1, (haar_unitary(3, 6), 2)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_PREFIX_CASES)),
+    sizes=st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    threads=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    cv1_block=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_prefix_is_independent_of_threads_and_blocks(kind, sizes, threads, cv1_block, seed):
+    # the first k shots of an n-shot run equal a k-shot run, however each run
+    # is split over threads and, for cv1, into response blocks (of cv1_block
+    # shots: the cv1 case holds (N+1)^M = 27 values per shot)
+    sampler, args = _PREFIX_CASES[kind]
+    shots, prefix = sizes
+    with mock.patch.object(sampler_module.os, "cpu_count", lambda: 8), mock.patch.object(
+        sampler_module, "_CV1_BLOCK_VALUES", 27 * cv1_block
+    ):
+        full = sampler(*args, shots, seed, threads=threads[0]).outcomes
+        head = sampler(*args, prefix, seed, threads=threads[1]).outcomes
+    assert np.array_equal(full[:prefix], head)
 
 
 def test_invert_click_cdf_roundtrip():
