@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPatternError, check_size
+from .errors import InvalidPatternError, check_size, check_threshold
 from .fock import (
     check_unitary,
     displacement_element,
@@ -36,13 +36,6 @@ def check_click_pattern(pattern, modes=None):
     if modes is not None and len(pattern) != modes:
         raise InvalidPatternError(f"click pattern has {len(pattern)} modes, expected {modes}")
     return pattern
-
-
-def check_threshold(t):
-    """Validate a click threshold: positive and finite."""
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"threshold must be positive and finite, got {t}")
-    return float(t)
 
 
 def amplitude_table(u, photons):
@@ -75,14 +68,17 @@ def amplitude_table(u, photons):
 
 
 def _pattern_sum(coeffs, occ, factors):
-    """sum_n coeffs[n] prod_j factors[j, n_j] over the occupation patterns n
-    (the rows of occ). factors[j, k] is mode j's factor at Fock level k."""
-    terms = factors[np.arange(occ.shape[1]), occ].prod(axis=1)
-    return (coeffs * terms).sum()
+    """sum_n coeffs[n] prod_j factors[..., j, n_j] over the occupation patterns
+    n (the rows of occ). factors[..., j, k] is mode j's factor at Fock level k;
+    leading axes, if any, index a stack of outcomes. The gathered factors are
+    made contiguous, so a stacked outcome's value equals its unstacked one."""
+    terms = np.ascontiguousarray(factors[..., np.arange(occ.shape[1]), occ]).prod(axis=-1)
+    return (coeffs * terms).sum(axis=-1)
 
 
 def density_cv(u, alphas, photons):
-    """Joint outcome density of CV-1 detection on every output mode.
+    """Joint outcome density of CV-1 detection on every output mode, at one
+    outcome vector (M,) or at a stack of them (..., M), from one amplitude table.
 
     P(alpha) = |sum_n amp(n) prod_j <1|D+(alpha_j)|n_j>|^2 / (2 pi)^M, where
     the per-mode factor is e^{-|a|^2/2} (a*)^{n_j - 1} (n_j - |a|^2) / sqrt(n_j!)
@@ -92,24 +88,23 @@ def density_cv(u, alphas, photons):
 
     Normalized over the per-mode outcome measure dR dtheta (R = |alpha|^2),
     the same convention under which the detector elements are complete;
-    averaging over the phases gives density_prcv / (2 pi)^M.
+    averaging over the phases gives density_prcv / (2 pi)^M. Returns a float
+    for one outcome vector, else an array of the stack's shape.
     """
     u = check_unitary(u)
     modes = u.shape[0]
     check_size("density modes", modes)
     check_size("density photons", photons)
     alphas = np.asarray(alphas, dtype=complex)
-    if alphas.shape != (modes,):
+    if alphas.shape[-1:] != (modes,):
         raise ValueError(f"expected {modes} outcomes, got shape {alphas.shape}")
     patterns, amps = amplitude_table(u, photons)
     factors = np.array(
-        [
-            [np.conj(displacement_element(v, 1, a)) for v in range(photons + 1)]
-            for a in alphas
-        ]
+        [[np.conj(displacement_element(v, 1, a)) for v in range(photons + 1)] for a in alphas.flat]
     )
-    total = _pattern_sum(amps, np.asarray(patterns), factors)
-    return abs(total) ** 2 / (2.0 * np.pi) ** modes
+    total = _pattern_sum(amps, np.asarray(patterns), factors.reshape(alphas.shape + (-1,)))
+    density = (total.real**2 + total.imag**2) / (2.0 * np.pi) ** modes
+    return density if density.ndim else float(density)
 
 
 def density_prcv(u, radii, photons):

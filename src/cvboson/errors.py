@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and input checks shared across the package.
 
 The CLI maps these onto distinct exit codes, so guard violations and
 invariant failures must stay distinguishable from ordinary usage errors.
 """
+
+import math
 
 
 class InvalidPatternError(ValueError):
@@ -41,3 +43,10 @@ def check_size(quantity, value):
     limit = SIZE_LIMITS[quantity]
     if value > limit:
         raise GuardLimitError(f"{quantity} guarded at <= {limit}, got {value}")
+
+
+def check_threshold(t):
+    """Validate a click threshold: positive and finite."""
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"threshold must be positive and finite, got {t}")
+    return float(t)

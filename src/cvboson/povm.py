@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_threshold
 from .fock import displacement_element
 from .special import dark_count_probability, detector_efficiency, g_function, laguerre
 
@@ -101,8 +102,7 @@ def dprcv1_povm(t, cutoff):
     Both operators are Fock-diagonal: the click element carries G(t, k) and
     the no-click element 1 - G(t, k), so they sum to the identity exactly.
     """
-    if not t > 0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    t = check_threshold(t)
     diag = np.array([g_function(t, k) for k in range(cutoff + 1)])
     click = TruncatedOperator(cutoff=cutoff, entries=np.diag(diag).astype(complex))
     no_click = TruncatedOperator(cutoff=cutoff, entries=np.diag(1.0 - diag).astype(complex))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import amplitude_table, check_threshold, distribution_table
-from .errors import check_size
+from .distribution import amplitude_table, distribution_table
+from .errors import check_size, check_threshold
 from .fock import check_unitary
 from .rng import shot_uniforms
 from .special import g_function

@@ -1,11 +1,13 @@
 """Special functions used by the detector model.
 
-Everything here is evaluated by stable recurrences rather than library
-wrappers: the detector formulas live at very small arguments where naive
-evaluation of the incomplete gamma function cancels catastrophically.
+Everything here is evaluated by stable recurrences and series rather than
+library wrappers. The click response and the incomplete gamma function share
+one Poisson tail: the detector formulas live at very small arguments, where
+a difference of incomplete gamma values cancels catastrophically.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -31,76 +33,73 @@ def laguerre(n, m, x):
     return cur if cur.ndim else float(cur)
 
 
-def lower_incomplete_gamma(k, t):
-    """Lower incomplete gamma gamma(k, t) = int_0^t e^{-R} R^{k-1} dR, integer k >= 1.
+def _poisson_tail(j, t):
+    """Poisson tail P(j, t) = e^{-t} sum_{i>=j} t^i / i! = gamma(j, t) / (j-1)!.
 
-    Two regimes, chosen per element:
+    Returns P, the weights w[i] = e^{-t} t^i / i! for i = 0..j, and t, all as
+    arrays of at least one dimension. NaN or negative t raises; inf becomes
+    the largest float, where e^{-t} and so every weight is exactly 0. Two
+    regimes, chosen per element:
 
-    * t < k + 1: the all-positive power series
-      gamma(k,t) = t^k e^{-t} sum_i t^i / (k (k+1) ... (k+i)),
-      free of cancellation at small t (where the click probabilities live);
-    * t >= k + 1: upward recurrence gamma(j+1,t) = j gamma(j,t) - t^j e^{-t}
-      from gamma(1,t) = -expm1(-t), where the subtracted term is already
-      subdominant.
+    * t < j + 1: the all-positive series w[j] sum_i t^i j! / (j+i)!, free of
+      cancellation at small t (where the click probabilities live);
+    * t >= j + 1: one minus the head w[0] + ... + w[j-1], by then the smaller
+      part, with 1 - w[0] taken by expm1.
 
-    Accepts scalar or ndarray t; t = inf returns (k-1)!.
+    The series stops once a term is <= 1e-17 of the sum. Later terms are below
+    half an ulp, so no element's value depends on the rest of the array.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"order must be a positive integer, got {k}")
-    k = int(k)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < 0):
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):
         raise ValueError("t must be non-negative")
-    out = np.empty_like(t_arr)
-
-    infinite = np.isinf(t_arr)
-    out[infinite] = math.factorial(k - 1)
-
-    small = (~infinite) & (t_arr < k + 1)
-    if np.any(small):
-        ts = t_arr[small]
-        term = np.full_like(ts, 1.0 / k)
+    t = np.minimum(np.atleast_1d(t), sys.float_info.max)
+    weights = [np.exp(-t)]
+    for i in range(1, j + 1):
+        weights.append(weights[-1] * t / i)
+    tail = np.empty_like(t)
+    low = t < j + 1
+    if np.any(low):
+        ts = t[low]
+        term = np.ones_like(ts)
         total = term.copy()
         for i in range(1, 400):
-            term = term * ts / (k + i)
+            term = term * ts / (j + i)
             total += term
             if np.all(term <= 1e-17 * total):
                 break
-        out[small] = total * ts**k * np.exp(-ts)
+        tail[low] = weights[j][low] * total
+    high = ~low
+    if np.any(high):
+        tail[high] = -np.expm1(-t[high]) - sum(w[high] for w in weights[1:j])
+    return tail, weights, t
 
-    large = (~infinite) & ~small
-    if np.any(large):
-        tl = t_arr[large]
-        g = -np.expm1(-tl)
-        tj = tl * np.exp(-tl)  # t^j e^{-t} at j = 1
-        for j in range(1, k):
-            g = j * g - tj
-            tj = tj * tl
-        out[large] = g
 
-    return float(out[0]) if scalar else out
+def lower_incomplete_gamma(k, t):
+    """Lower incomplete gamma gamma(k, t) = int_0^t e^{-R} R^{k-1} dR, integer k >= 1.
+
+    Evaluated as (k-1)! P(k, t) from the Poisson tail. Accepts scalar or
+    ndarray t; t = inf returns (k-1)!.
+    """
+    if k < 1 or k != int(k):
+        raise ValueError(f"order must be a positive integer, got {k}")
+    value = math.factorial(int(k) - 1) * _poisson_tail(int(k), t)[0]
+    return value if np.ndim(t) else float(value[0])
 
 
 def g_function(t, k):
     """Click response G(t, k): probability that Fock level k lands in [0, t].
 
-    G(t,k) = [k^2 gamma(k,t) - 2k gamma(k+1,t) + gamma(k+2,t)] / k!, with the
-    k = 0 case reducing to gamma(2,t). Non-decreasing in t, G(0,k) = 0 and
-    G(inf,k) = 1. Accepts scalar or ndarray t.
+    G(t,k) = [k^2 gamma(k,t) - 2k gamma(k+1,t) + gamma(k+2,t)] / k!, evaluated
+    as P(k+2, t) + k e^{-t} t^k (1 - t/(k+1)) / k!: one Poisson tail plus one
+    closed-form term, both non-negative below t = k + 1. Non-decreasing in t,
+    G(0,k) = 0 and G(inf,k) = 1. Accepts scalar or ndarray t.
     """
     if k < 0 or k != int(k):
         raise ValueError(f"Fock index must be a non-negative integer, got {k}")
     k = int(k)
-    if k == 0:
-        return lower_incomplete_gamma(2, t)
-    value = (
-        k * k * lower_incomplete_gamma(k, t)
-        - 2 * k * lower_incomplete_gamma(k + 1, t)
-        + lower_incomplete_gamma(k + 2, t)
-    )
-    return value / math.factorial(k)
+    tail, weights, x = _poisson_tail(k + 2, t)
+    value = tail + k * weights[k] * (1.0 - x / (k + 1))
+    return value if np.ndim(t) else float(value[0])
 
 
 def detector_efficiency(t):

@@ -8,7 +8,6 @@ counts, and shot counts, and is the acceptance gate: tests/test_acceptance.py
 runs it and asserts every check by name.
 """
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -319,13 +318,11 @@ def _check_cv1_joint_density(full):
     s_weights = np.concatenate([0.5 * w, 2.5 * w]) * 2 * s
     x, w = np.polynomial.legendre.leggauss(2)
     phis = (np.pi / 8) * (x + 1 + 2 * np.arange(8)[:, None]).ravel()
-    masses = np.zeros(32)
-    for (s0, w0), (s1, w1), (phi, w_phi) in itertools.product(
-        zip(s, s_weights), zip(s, s_weights), zip(phis, np.tile((np.pi / 8) * w, 8))
-    ):
-        cell = 4 * int(phi // (np.pi / 4)) + 2 * (s0 < 1) + (s1 < 1)
-        density = density_cv(u, [s0, s1 * np.exp(1j * phi)], 1)
-        masses[cell] += 2 * np.pi * w0 * w1 * w_phi * density
+    s0, s1, phi = np.meshgrid(s, s, phis, indexing="ij")
+    w0, w1, w_phi = np.meshgrid(s_weights, s_weights, np.tile((np.pi / 8) * w, 8), indexing="ij")
+    density = density_cv(u, np.stack([s0, s1 * np.exp(1j * phi)], axis=-1), 1)
+    cells = 4 * (phi // (np.pi / 4)).astype(int) + 2 * (s0 < 1) + (s1 < 1)
+    masses = np.bincount(cells.ravel(), (2 * np.pi * w0 * w1 * w_phi * density).ravel(), 32)
     p_value = _chi_square_p(observed, masses * shots)
     return p_value > 0.001 and abs(masses.sum() - 1) <= 1e-4, (
         f"chi-square p = {p_value:.3g} over 32 bins; quadrature mass {masses.sum():.6f}"

@@ -398,12 +398,12 @@ GOLDEN_OUTPUTS = {
     ),
     "exact-dist": (
         ["exact-dist", "--photons", "3", "--t", "0.05"],
-        {"out.csv": "a748b49ac9bf308d30feb9961e7e190cfdc05d0ce5f5e470d266bd379812c4af"},
+        {"out.csv": "fd0a5ca16d59793da221d70ddea53838c3f8ab537897a20e30313703d2fb3ad7"},
     ),
     "sweep-t": (
         ["sweep-t", "--photons", "3", "--report", "report.json"],
-        {"out.csv": "42fba7cf0de7f167be9091ba79f7cfef4ac3e2ebf002ec43d72ac85ae3fc9983",
-         "report.json": "6f8582b0febe47e7d14ca6036bbce3a1e129ed4e7fda74cba46e53ba3a0229c5"},
+        {"out.csv": "0269e014d3e7ded9052f2c4ed0c25d028f0f729e54959ed5a922edfb07a20fed",
+         "report.json": "b23783bf1ab44ef5ab32516e86d04955136ef83c6b29a582d3cd1d57d2ac152b"},
     ),
 }
 

@@ -89,6 +89,23 @@ class TestDensityCv:
         with pytest.raises(GuardLimitError):
             density_cv(haar_unitary(11, 0), np.zeros(11), 2)
 
+    def test_stacked_outcomes_match_single_calls(self, monkeypatch):
+        u = haar_unitary(3, 21)
+        rng = np.random.default_rng(21)
+        alphas = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+        expected = [[density_cv(u, a, 2) for a in row] for row in alphas]
+        tables = []
+        monkeypatch.setattr(
+            distribution,
+            "amplitude_table",
+            lambda *args: tables.append(args) or amplitude_table(*args),
+        )
+        stacked = density_cv(u, alphas, 2)
+        assert stacked.shape == (4, 5) and len(tables) == 1
+        np.testing.assert_array_equal(stacked, expected)
+        with pytest.raises(ValueError):
+            density_cv(u, alphas[..., :2], 2)
+
 
 class TestDensityPrcv:
     def test_single_mode_closed_form(self):

@@ -3,14 +3,16 @@
 Oracles used here:
 * explicit Laguerre series with generalized binomial coefficients;
 * adaptive quadrature (scipy.integrate.quad) of the radial densities,
-  entirely independent of the recurrence-based incomplete-gamma route;
+  entirely independent of the Poisson-tail incomplete-gamma route;
 * a closed form for the click response rebuilt from exact polynomial
   coefficients and gamma terms, for general ancilla number;
+* the three-gamma definition of the click response at 50 digits (mpmath);
 * 2-D polar-grid quadrature for the CV element completeness.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -133,6 +135,18 @@ def click_response_from_gamma(n, k, t):
     return math.factorial(lo) / math.factorial(hi) * total
 
 
+def g_three_gamma(t, k):
+    """Oracle: G(t, k) = [k^2 gamma(k,t) - 2k gamma(k+1,t) + gamma(k+2,t)] / k!
+    (gamma(2, t) at k = 0), evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        gamma = lambda a: mpmath.gammainc(a, 0, t)  # noqa: E731
+        if k == 0:
+            return float(gamma(2))
+        value = k * k * gamma(k) - 2 * k * gamma(k + 1) + gamma(k + 2)
+        return float(value / mpmath.factorial(k))
+
+
 class TestClickResponse:
     def test_matches_efficiency_and_dark_count(self):
         for t in (1e-4, 0.1, 1.0, 5.0):
@@ -153,6 +167,36 @@ class TestClickResponse:
             values = g_function(grid, k)
             assert np.all(values >= 0) and np.all(values <= 1 + 1e-12)
             assert np.all(np.diff(values) >= -1e-12)
+
+    def test_matches_three_gamma_definition_at_50_digits(self):
+        # small t, then a fine scan over the regime changes near t = k + 1
+        ts = np.concatenate(
+            [np.geomspace(1e-12, 1.0, 20), np.linspace(1.25, 8.0, 28), [12, 16, 24, 32, 48, 64]]
+        )
+        for k in range(5):
+            expected = np.array([g_three_gamma(t, k) for t in ts])
+            np.testing.assert_allclose(g_function(ts, k), expected, rtol=2e-15, atol=0)
+
+    def test_non_decreasing_on_fine_grid(self):
+        grid = np.linspace(0.0, 70.0, 200_001)
+        for k in range(5):
+            assert np.all(np.diff(g_function(grid, k)) >= 0), k
+
+    def test_array_and_scalar_calls_give_equal_bits(self):
+        # both regimes, their boundary, the far tail and inf in one batch
+        ts = np.array([0.0, 1e-12, 1e-3, 0.7, 2.0, 3.0, 4.999, 5.0, 6.0, 9.5, 40.0, 800.0, np.inf])
+        for k in range(6):
+            scalar = [g_function(float(t), k) for t in ts]
+            np.testing.assert_array_equal(g_function(ts, k), scalar)
+            scalar = [lower_incomplete_gamma(k + 1, float(t)) for t in ts]
+            np.testing.assert_array_equal(lower_incomplete_gamma(k + 1, ts), scalar)
+
+    def test_nan_threshold_rejected(self):
+        for t in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError):
+                g_function(t, 2)
+            with pytest.raises(ValueError):
+                lower_incomplete_gamma(2, t)
 
     def test_integral_of_radial_density_general_ancilla(self):
         # three independent routes: quadrature, gamma-rebuilt closed form,
@@ -287,8 +331,9 @@ class TestDiscretizedPovm:
         assert click.entries[0, 0].real == pytest.approx(t**2 / 2 - t**3 / 3, rel=1e-6)
 
     def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            dprcv1_povm(0.0, 4)
+        for t in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                dprcv1_povm(t, 4)
 
 
 class TestDetectorCurves:

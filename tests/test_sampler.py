@@ -246,7 +246,7 @@ class TestCvSampler:
         for target in itertools.product((0, 1), repeat=2):
             frac = np.mean((clicks == np.array(target)).all(axis=1))
             exact = prob_dprcv(u, target, t, 1)
-            margin = 4 * math.sqrt(exact * (1 - exact) / 4000) + 0.004
+            margin = 4 * math.sqrt(exact * (1 - exact) / 4000)
             assert abs(frac - exact) <= margin
 
     def test_first_mode_weights_stay_small(self):
