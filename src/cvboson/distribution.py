@@ -99,10 +99,10 @@ def density_cv(u, alphas, photons):
     if alphas.shape[-1:] != (modes,):
         raise ValueError(f"expected {modes} outcomes, got shape {alphas.shape}")
     patterns, amps = amplitude_table(u, photons)
-    factors = np.array(
-        [[np.conj(displacement_element(v, 1, a)) for v in range(photons + 1)] for a in alphas.flat]
+    factors = np.stack(
+        [np.conj(displacement_element(v, 1, alphas)) for v in range(photons + 1)], axis=-1
     )
-    total = _pattern_sum(amps, np.asarray(patterns), factors.reshape(alphas.shape + (-1,)))
+    total = _pattern_sum(amps, np.asarray(patterns), factors)
     density = (total.real**2 + total.imag**2) / (2.0 * np.pi) ** modes
     return density if density.ndim else float(density)
 

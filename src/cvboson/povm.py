@@ -89,10 +89,7 @@ def cvn_povm_element(ancilla_n, alpha, cutoff):
     """
     if cutoff < ancilla_n:
         raise ValueError(f"cutoff {cutoff} must cover the ancilla level {ancilla_n}")
-    v = np.array(
-        [displacement_element(j, ancilla_n, alpha) for j in range(cutoff + 1)],
-        dtype=complex,
-    )
+    v = np.array([displacement_element(j, ancilla_n, alpha) for j in range(cutoff + 1)])
     return TruncatedOperator(cutoff=cutoff, entries=np.outer(v, v.conj()) / (2.0 * np.pi))
 
 
@@ -160,9 +157,8 @@ def prcv_phase_average(ancilla_n, big_r, cutoff, n_theta=2048):
     uniform theta grid. The result should be Fock-diagonal with diagonal
     prcv_povm_diag(n, R, k); both facts are what the callers verify.
     """
-    acc = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    root_r = math.sqrt(big_r)
-    for theta in 2.0 * np.pi * np.arange(n_theta) / n_theta:
-        alpha = root_r * complex(math.cos(theta), math.sin(theta))
-        acc += cvn_povm_element(ancilla_n, alpha, cutoff).entries
-    return TruncatedOperator(cutoff=cutoff, entries=acc * (2.0 * np.pi / n_theta))
+    if cutoff < ancilla_n:
+        raise ValueError(f"cutoff {cutoff} must cover the ancilla level {ancilla_n}")
+    alphas = math.sqrt(big_r) * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    v = np.array([displacement_element(j, ancilla_n, alphas) for j in range(cutoff + 1)])
+    return TruncatedOperator(cutoff=cutoff, entries=v @ v.conj().T / n_theta)

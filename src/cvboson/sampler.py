@@ -16,6 +16,7 @@ import numpy as np
 from .distribution import amplitude_table, distribution_table
 from .errors import check_size, check_threshold
 from .fock import check_unitary
+from .povm import prcv_povm_diag
 from .rng import shot_uniforms
 from .special import g_function
 
@@ -112,33 +113,63 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     return _draw("dprcv1", table.probabilities(), 1, respond, shots, seed, threads, t=t)
 
 
-def _bisect(f, targets, hi, tol):
-    """Solve f(x) = targets on [0, hi] by bisection, elementwise, for a
-    non-decreasing f evaluated on arrays aligned with targets."""
-    lo = np.zeros_like(targets)
-    hi_v = np.full_like(targets, hi)
-    for _ in range(int(math.ceil(math.log2(hi / tol))) + 2):
-        mid = 0.5 * (lo + hi_v)
-        below = f(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi_v = np.where(below, hi_v, mid)
-    return 0.5 * (lo + hi_v)
+# Radius starts come from G on this fixed grid, dense at small R; G(64, k)
+# rounds to 1 at every level the size guards allow, so [0, 64] brackets any
+# u < 1. Solving _RADIUS_CHUNK radii at a time bounds the Newton temporaries.
+_RADIUS_GRID = 64.0 * (np.arange(129) / 128.0) ** 2
+_RADIUS_CHUNK = 8192
 
 
-def _invert_click_cdf(u_values, levels, tol=1e-12):
+def _newton(response, targets, lo, hi, x):
+    """Solve f(x) = targets elementwise, f non-decreasing, by Newton from x
+    within brackets [lo, hi] (arrays updated in place) that shrink to each
+    evaluated point; response(x, idx) gives f and f' at x for the elements
+    idx. A step that is not finite or leaves the bracket becomes its midpoint.
+    An element stops once its step or its bracket is <= 1e-13, so each root
+    depends on its own target and start alone."""
+    idx = np.arange(x.size)
+    for _ in range(200):
+        if not idx.size:
+            return x
+        xi = x[idx]
+        value, slope = response(xi, idx)
+        miss = value - targets[idx]
+        a = lo[idx] = np.where(miss < 0, xi, lo[idx])
+        b = hi[idx] = np.where(miss > 0, xi, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(miss == 0, 0.0, miss / slope)
+        new = xi - step
+        keep = (np.abs(step) <= 1e-13) | ((a < new) & (new < b))
+        x[idx] = new = np.where(keep, new, 0.5 * (a + b))
+        idx = idx[(np.abs(new - xi) > 1e-13) & (b - a > 1e-13)]
+    raise RuntimeError("root finder did not converge")
+
+
+def _invert_click_cdf(u_values, levels):
     """The phase-randomized detector's radius response: R solving
-    G(R, levels[i]) = u_values[i], by bracketed bisection per Fock level."""
+    G(R, levels[i]) = u_values[i] by _newton, with slope prcv_povm_diag(1, R, k)
+    at level k. Each R starts in its cell of the level's G on _RADIUS_GRID: by
+    the small-R power law G ~ k R^k / k! (R^2 / 2 at k = 0) in the first cell,
+    else by linear interpolation."""
     u_values = np.asarray(u_values, dtype=float)
     levels = np.broadcast_to(levels, u_values.shape)
     radii = np.empty(u_values.shape)
-    for k in np.unique(levels):
+    for k in np.unique(levels).tolist():
         mask = levels == k
-        hi = 64.0
-        while g_function(hi, k) <= u_values[mask].max():
-            hi *= 2.0
-            if hi > 1e9:
-                raise RuntimeError(f"no bracket for click CDF inversion at level {k}")
-        radii[mask] = _bisect(lambda r, k=k: g_function(r, k), u_values[mask], hi, tol)
+        grid_g = g_function(_RADIUS_GRID, k)
+        if grid_g[-1] <= u_values[mask].max():
+            raise RuntimeError(f"no bracket for click CDF inversion at level {k}")
+        coeff, power = (0.5, 2) if k == 0 else (k / math.factorial(k), k)
+        response = lambda r, _: (g_function(r, k), prcv_povm_diag(1, r, k))  # noqa: E731
+        targets, roots = u_values[mask], []
+        for first in range(0, targets.size, _RADIUS_CHUNK):
+            u = targets[first : first + _RADIUS_CHUNK]
+            cell = np.searchsorted(grid_g, u, side="right")
+            lo, hi, g_lo = _RADIUS_GRID[cell - 1], _RADIUS_GRID[cell], grid_g[cell - 1]
+            interpolated = lo + (u - g_lo) / (grid_g[cell] - g_lo) * (hi - lo)
+            start = np.where(cell == 1, np.minimum((u / coeff) ** (1 / power), hi), interpolated)
+            roots.append(_newton(response, u, lo, hi, start))
+        radii[mask] = np.concatenate(roots)
     return radii
 
 
@@ -147,7 +178,8 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
 
     Two-stage exact draw: the occupation pattern comes from the squared
     amplitudes, then each mode's radius inverts its Fock-level click CDF
-    G(., n_j) by bracketed bisection (radius tolerance 1e-12).
+    G(., n_j) by safeguarded Newton from a fixed radius grid, stopped once its
+    step or its bracket is <= 1e-13, which leaves |G(R, n_j) - u| at rounding.
     """
     patterns, amps = _amplitudes(u, photons, shots, "prcv1")
 
@@ -166,19 +198,15 @@ def _mode_overlap_columns(alphas, photons):
     cols = np.empty((alphas.size, photons + 1), dtype=complex)
     cols[:, 0] = -alphas * envelope
     for v in range(1, photons + 1):
-        cols[:, v] = (
-            envelope
-            * np.conj(alphas) ** (v - 1)
-            * (v - a2)
-            / math.sqrt(math.factorial(v))
-        )
+        cols[:, v] = envelope * np.conj(alphas) ** (v - 1) * (v - a2) / math.sqrt(math.factorial(v))
     return cols
 
 
 def _angle_response(radii, gram, u_values, photons):
     """CV-1 angles in [0, 2 pi) at the given radii, inverting their conditional
-    CDF (angle tolerance 1e-12); gram[i, a, b] = <T_a, T_b> over the level
-    blocks of shot i's conditional tensor T.
+    CDF by safeguarded Newton on [0, 2 pi] from theta = 2 pi u (stopped as
+    the radii are); gram[i, a, b] = <T_a, T_b> over the level blocks of shot i's
+    conditional tensor T.
 
     With <1|D+(sqrt(R) e^{i theta})|a> = r_a e^{-i (a-1) theta}, r_a real, the
     density is c_0 + 2 Re sum_{d>=1} c_d e^{-i d theta} with
@@ -187,22 +215,23 @@ def _angle_response(radii, gram, u_values, photons):
     """
     r = _mode_overlap_columns(np.sqrt(radii), photons).real
     weights = r[:, :, None] * r[:, None, :] * gram
-    c0 = np.trace(weights, 0, 1, 2).real
-    coeffs = np.empty((len(radii), photons), dtype=complex)  # c_d / (i d)
-    for d in range(1, photons + 1):
-        coeffs[:, d - 1] = np.trace(weights, d, 1, 2) / (1j * d)
-    steps = np.arange(1, photons + 1)
+    c = np.stack([np.trace(weights, d, 1, 2) for d in range(photons + 1)], axis=1)
+    c0, ripples, steps = c[:, 0].real, c[:, 1:], np.arange(1, photons + 1)
 
-    def integral(theta):
-        ripple = coeffs * (1.0 - np.exp(-1j * theta[:, None] * steps))
-        return c0 * theta + 2.0 * ripple.sum(axis=1).real
+    def response(theta, idx):
+        phase = np.exp(-1j * theta[:, None] * steps)
+        coeffs = ripples[idx]
+        ripple = (coeffs * (1.0 - phase) / (1j * steps)).sum(axis=1).real
+        density = c0[idx] + 2.0 * (coeffs * phase).sum(axis=1).real
+        return c0[idx] * theta + 2.0 * ripple, density
 
-    return _bisect(integral, u_values * (2.0 * np.pi) * c0, 2.0 * np.pi, 1e-12)
+    lo, hi = np.zeros(len(radii)), np.full(len(radii), 2.0 * np.pi)
+    return _newton(response, u_values * hi * c0, lo, hi, u_values * hi)
 
 
 # The cv1 response walks its shots in blocks of this many complex values of
 # conditional tensor ((N+1)^M per shot): this bounds its memory, while large
-# blocks keep the per-call cost of the radius bisection small.
+# blocks keep the per-call cost of the radius response small.
 _CV1_BLOCK_VALUES = 1 << 21
 
 

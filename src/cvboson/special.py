@@ -36,10 +36,10 @@ def laguerre(n, m, x):
 def _poisson_tail(j, t):
     """Poisson tail P(j, t) = e^{-t} sum_{i>=j} t^i / i! = gamma(j, t) / (j-1)!.
 
-    Returns P, the weights w[i] = e^{-t} t^i / i! for i = 0..j, and t, all as
-    arrays of at least one dimension. NaN or negative t raises; inf becomes
-    the largest float, where e^{-t} and so every weight is exactly 0. Two
-    regimes, chosen per element:
+    Returns P, the weight w[j-2] (None for j < 2) of w[i] = e^{-t} t^i / i!,
+    and t, all as arrays of at least one dimension. NaN or negative t raises;
+    inf becomes the largest float, where e^{-t} and so every weight is exactly
+    0. Two regimes, chosen per element:
 
     * t < j + 1: the all-positive series w[j] sum_i t^i j! / (j+i)!, free of
       cancellation at small t (where the click probabilities live);
@@ -53,9 +53,11 @@ def _poisson_tail(j, t):
     if not np.all(t >= 0):
         raise ValueError("t must be non-negative")
     t = np.minimum(np.atleast_1d(t), sys.float_info.max)
-    weights = [np.exp(-t)]
-    for i in range(1, j + 1):
-        weights.append(weights[-1] * t / i)
+    weight, head, near = np.exp(-t), np.zeros_like(t), None
+    for i in range(1, j):
+        near, weight = weight, weight * t / i
+        head += weight
+    weight = weight * t / j
     tail = np.empty_like(t)
     low = t < j + 1
     if np.any(low):
@@ -67,11 +69,11 @@ def _poisson_tail(j, t):
             total += term
             if np.all(term <= 1e-17 * total):
                 break
-        tail[low] = weights[j][low] * total
+        tail[low] = weight[low] * total
     high = ~low
     if np.any(high):
-        tail[high] = -np.expm1(-t[high]) - sum(w[high] for w in weights[1:j])
-    return tail, weights, t
+        tail[high] = -np.expm1(-t[high]) - head[high]
+    return tail, near, t
 
 
 def lower_incomplete_gamma(k, t):
@@ -97,8 +99,8 @@ def g_function(t, k):
     if k < 0 or k != int(k):
         raise ValueError(f"Fock index must be a non-negative integer, got {k}")
     k = int(k)
-    tail, weights, x = _poisson_tail(k + 2, t)
-    value = tail + k * weights[k] * (1.0 - x / (k + 1))
+    tail, weight, x = _poisson_tail(k + 2, t)
+    value = tail + k * weight * (1.0 - x / (k + 1))
     return value if np.ndim(t) else float(value[0])
 
 

@@ -390,11 +390,11 @@ GOLDEN_OUTPUTS = {
     ),
     "prcv1": (
         ["sample", "--photons", "2", "--detector", "prcv1", "--shots", "40", "--seed", "13"],
-        {"out.csv": "8ff4f36a97e5228867a651688069f30d1ff22e1c5bc7e4ea4c04eff5b1813fb2"},
+        {"out.csv": "305ea18419a2cb073bce1a0bf84932d01d90a8eb85e0a97856df3b6ac0fdcf96"},
     ),
     "cv1": (
         ["sample", "--photons", "2", "--detector", "cv1", "--shots", "4", "--seed", "14"],
-        {"out.csv": "0cced643c99bc68fcc6ab556e7e110464994f99ac6467b0796ae22bac5c274f6"},
+        {"out.csv": "7e9808377dbd6ab49f5ce4682b562799324a2107954342e1b6f812daa3e17ff6"},
     ),
     "exact-dist": (
         ["exact-dist", "--photons", "3", "--t", "0.05"],

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cvboson import sampler as sampler_module
 from cvboson.distribution import distribution_table
 from cvboson.errors import GuardLimitError
 from cvboson.fock import haar_unitary
+from cvboson.povm import prcv_povm_diag
 from cvboson.sampler import (
     _invert_click_cdf,
     _thread_count,
@@ -301,7 +303,56 @@ def test_invert_click_cdf_roundtrip():
     for level in range(4):
         u = np.linspace(0.001, 0.999, 57)
         radii = _invert_click_cdf(u, level)
-        np.testing.assert_allclose(g_function(radii, level), u, atol=1e-11)
+        np.testing.assert_allclose(g_function(radii, level), u, atol=2e-15)
+
+
+_RESPONSE_UNIFORMS = np.concatenate(
+    [
+        np.linspace(0.01, 0.99, 33),
+        [0.0, 1e-300, 1e-15, 1e-9, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-9, 1 - 1e-15, 1 - 2**-53],
+    ]
+)
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_radius_response_residual_is_at_rounding_level(level):
+    radii = _invert_click_cdf(_RESPONSE_UNIFORMS, level)
+    assert np.all(np.abs(g_function(radii, level) - _RESPONSE_UNIFORMS) <= 2e-15)
+
+
+def _root_at_30_digits(u, level, start):
+    """R solving the three-gamma definition G(R, k) = u at 30 digits."""
+    with mpmath.workdps(30):
+        def miss(r):
+            gamma = lambda a: mpmath.gammainc(a, 0, r)  # noqa: E731
+            if level == 0:
+                return gamma(2) - u
+            value = level**2 * gamma(level) - 2 * level * gamma(level + 1) + gamma(level + 2)
+            return value / mpmath.factorial(level) - u
+
+        return float(mpmath.findroot(miss, mpmath.mpf(start)))
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_radius_response_matches_mpmath_roots(level):
+    # where the level density at the root is small, float G is flat over a
+    # radius range wider than 1e-12, so only well-conditioned roots are compared
+    u = np.linspace(0.02, 0.98, 9)
+    radii = _invert_click_cdf(u, level)
+    conditioned = prcv_povm_diag(1, radii, level) >= 1e-3
+    assert conditioned.sum() >= 6
+    for target, radius in zip(u[conditioned], radii[conditioned]):
+        assert abs(radius - _root_at_30_digits(target, level, radius)) <= 1e-12
+
+
+def test_radius_chunks_give_the_values_of_single_calls(monkeypatch):
+    rng = np.random.default_rng(8)
+    u = np.concatenate([rng.random(60), [0.0, 1 - 2**-53]])
+    levels = rng.integers(0, 5, u.size)
+    monkeypatch.setattr(sampler_module, "_RADIUS_CHUNK", 5)
+    batch = _invert_click_cdf(u, levels)
+    single = [_invert_click_cdf(u[i : i + 1], levels[i])[0] for i in range(u.size)]
+    assert np.array_equal(batch, single)
 
 
 def test_thread_count_is_capped_by_cpus_and_shots(monkeypatch):
