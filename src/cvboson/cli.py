@@ -31,9 +31,6 @@ EXIT_USAGE = 1
 EXIT_GUARD = 2
 EXIT_INVARIANT = 3
 
-# shots formatted per chunk of a streamed sample CSV
-SAMPLE_CHUNK = 1 << 14
-
 
 class UsageError(Exception):
     pass
@@ -141,20 +138,20 @@ def _float_lines(first, values):
     return (line * count) % tuple(fields.ravel())
 
 
-def _outcome_lines(kind, outcomes):
-    """CSV text of the `shot,outcome` rows of a batch, one str per chunk of shots.
+def _outcome_lines(batch):
+    """CSV text of the `shot,outcome` rows of a batch, one str per block of
+    shots, each block drawn as it is formatted.
 
     dprcv1 outcomes are 0/1 strings, fock outcomes comma-joined occupations,
     prcv1 outcomes comma-joined radii and cv1 outcomes comma-joined re/im
     pairs; the bytes are those csv.writer gives for these cells. Occupations
     are single digits because the fock sampler is guarded at N <= 4 photons.
     """
-    for first in range(0, len(outcomes), SAMPLE_CHUNK):
-        chunk = outcomes[first : first + SAMPLE_CHUNK]
-        if kind in ("dprcv1", "fock"):
-            yield _digit_lines(first, chunk, sep=kind == "fock")
+    for first, rows in batch.blocks():
+        if batch.kind in ("dprcv1", "fock"):
+            yield _digit_lines(first, rows, sep=batch.kind == "fock")
         else:
-            yield _float_lines(first, chunk.view(np.float64) if kind == "cv1" else chunk)
+            yield _float_lines(first, rows.view(np.float64) if batch.kind == "cv1" else rows)
 
 
 def _cmd_sample(args):
@@ -179,7 +176,7 @@ def _cmd_sample(args):
         meta["t"] = fmt17(args.t)
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
-    write_csv(args.out, ["shot", "outcome"], _outcome_lines(batch.kind, batch.outcomes), meta)
+    write_csv(args.out, ["shot", "outcome"], _outcome_lines(batch), meta)
     return EXIT_OK
 
 

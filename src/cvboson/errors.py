@@ -35,6 +35,7 @@ SIZE_LIMITS = {
     "prcv1 sampler photons": 4,
     "cv1 sampler modes": 4,
     "cv1 sampler photons": 3,
+    "sample outcome values": 1 << 25,
 }
 
 

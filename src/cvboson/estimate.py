@@ -109,12 +109,11 @@ def estimate_perm_from_samples(batch, t, photons):
         raise ValueError(f"expected a dprcv1 batch, got {batch.kind!r}")
     if not math.isclose(batch.t, t, rel_tol=1e-12):
         raise ValueError("batch threshold does not match t")
-    outcomes = np.asarray(batch.outcomes)
-    shots, modes = outcomes.shape
+    shots = batch.shots
     if shots == 0:
         raise ValueError("batch has no shots")
-    target = np.asarray(_target_pattern(modes, photons))
-    hits = int((outcomes == target).all(axis=1).sum())
+    target = np.asarray(_target_pattern(batch.modes, photons))
+    hits = sum(int((rows == target).all(axis=1).sum()) for _, rows in batch.blocks())
     scale = t**photons
     freq = hits / shots
     if hits == 0:

@@ -13,9 +13,11 @@ Stream layout (documented so results can be reproduced elsewhere):
 * each 128-bit output block yields two 64-bit variates
   v0 = w0 | (w1 << 32) and v1 = w2 | (w3 << 32); uniform j of a stream is
   variate j % 2 of block j // 2, mapped to [0, 1) as (v >> 11) * 2**-53.
-* samplers use stream = shot index; the complex-Gaussian stream used for
-  unitary generation is stream 2**64 - 1, consumed in row-major entry order,
-  one Box-Muller pair of uniforms per matrix entry.
+* shot_uniforms reads uniforms 0 .. per_shot-1 of streams first_shot,
+  first_shot+1, ...; samplers use stream = shot index, and the
+  complex-Gaussian stream used for unitary generation is stream 2**64 - 1,
+  consumed in row-major entry order, one Box-Muller pair of uniforms per
+  matrix entry.
 * per shot of an M-mode sampler, uniform 0 picks the table index by inverse
   CDF; fock and dprcv1 read uniform 0 only, and uniforms 1..M are the prcv1
   radii of modes 0..M-1. cv1 reads 3M uniforms: 3j, 3j+1 and 3j+2 are mode
@@ -76,28 +78,6 @@ def _blocks_to_uniforms(w0, w1, w2, w3):
     return (out >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def stream_uniforms(seed, stream, count, start=0):
-    """Uniforms start .. start+count-1 of one (seed, stream) substream."""
-    if count == 0:
-        return np.empty(0)
-    seed = _as_seed(seed)
-    stream = int(stream) % (1 << 64)
-    first_block = start // 2
-    last_block = (start + count - 1) // 2
-    blocks = np.arange(first_block, last_block + 1, dtype=np.uint64)
-    w = philox4x32(
-        blocks & _MASK32,
-        blocks >> np.uint64(32),
-        np.uint64(stream & 0xFFFFFFFF),
-        np.uint64(stream >> 32),
-        seed & 0xFFFFFFFF,
-        seed >> 32,
-    )
-    u = _blocks_to_uniforms(*np.broadcast_arrays(*w))
-    offset = start - 2 * first_block
-    return u[offset:offset + count]
-
-
 def shot_uniforms(seed, shots, per_shot, first_shot=0):
     """(shots, per_shot) uniforms; row i depends only on (seed, first_shot + i)."""
     if shots == 0:
@@ -123,7 +103,7 @@ def gaussian_matrix(seed, rows, cols):
     z = sqrt(-2 ln(1 - u1)) * (cos(2 pi u2) + i sin(2 pi u2)).
     """
     n = rows * cols
-    u = stream_uniforms(seed, GAUSSIAN_STREAM, 2 * n)
+    u = shot_uniforms(seed, 1, 2 * n, GAUSSIAN_STREAM)[0]
     u1, u2 = u[0::2], u[1::2]
     r = np.sqrt(-2.0 * np.log1p(-u1))
     ang = 2.0 * np.pi * u2

@@ -1,15 +1,17 @@
 """Exact seeded samplers: bare Fock patterns and the three detector variants.
 
 Every sampler draws shot i from a counter-based stream keyed by (seed, i)
-(see cvboson.rng), so batches are reproducible bit-for-bit regardless of how
-the shot range is chunked across threads. All four share one draw: uniform 0
+(see cvboson.rng), so batches are reproducible bit-for-bit however the shot
+range is split into blocks and threads. All four share one draw: uniform 0
 picks a table index, and the shot's other uniforms feed a per-mode response.
 """
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,23 +23,33 @@ from .rng import shot_uniforms
 from .special import g_function
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Reproducible batch of measurement outcomes.
+    """Reproducible batch of measurement outcomes, drawn on demand.
 
-    outcomes holds one row per shot: occupation vectors (fock), 0/1 click
-    vectors (dprcv1), non-negative radii (prcv1), or complex amplitudes (cv1).
-    t is the click threshold of a dprcv1 batch and None otherwise.
-    Regenerating with the same seed reproduces the batch exactly.
+    Each blocks() call draws the shots anew and yields (first shot, rows) per
+    block. outcomes holds one row per shot, drawn on first access and guarded
+    by the "sample outcome values" size limit: occupation vectors (fock), 0/1
+    click vectors (dprcv1), non-negative radii (prcv1), or complex amplitudes
+    (cv1). t is the click threshold of a dprcv1 batch and None otherwise.
     """
 
     seed: int
     t: float | None
-    outcomes: np.ndarray
     kind: str
+    shots: int
+    modes: int
+    blocks: Callable
+
+    @cached_property
+    def outcomes(self):
+        check_size("sample outcome values", self.shots * self.modes)
+        return np.concatenate([rows for _, rows in self.blocks()])
 
 
 def _check_shots(shots):
+    if not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise ValueError("shots must be >= 0")
 
@@ -55,26 +67,35 @@ def _inverse_cdf_draw(cdf, u):
     return np.minimum(idx, len(cdf) - 1)
 
 
-def _draw(kind, weights, per_shot, respond, shots, seed, threads, t=None):
+# Shots drawn per block: this bounds a batch's memory at any shot count.
+_BLOCK_SHOTS = 1 << 14
+
+
+def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None, block=None):
     """The one sampler core. Shot i reads per_shot uniforms of stream (seed, i):
     uniform 0 picks an index into `weights` by inverse CDF, and respond(index,
-    rest) maps the indices and the other uniforms to outcome rows. Any split of
-    the shots over threads gives the same outcomes."""
+    rest) maps the indices and the other uniforms to outcome rows of `modes`
+    values. The shots are walked in blocks of at most _BLOCK_SHOTS shots (and
+    at most `block`, if given), shrunk so that every thread gets a block; a
+    0-shot batch is one empty block. Any split gives the same outcomes."""
     cdf = np.cumsum(weights)
-
-    def worker(first, count):
-        uniforms = shot_uniforms(seed, count, per_shot, first)
-        return respond(_inverse_cdf_draw(cdf, uniforms[:, 0]), uniforms[:, 1:])
-
     threads = _thread_count(threads, shots)
-    if threads == 1 or shots < 2 * threads:
-        outcomes = worker(0, shots)
-    else:
-        bounds = np.linspace(0, shots, threads + 1, dtype=int)
+    block = max(1, min(_BLOCK_SHOTS, block or _BLOCK_SHOTS, -(-shots // threads)))
+    starts = range(0, max(shots, 1), block)
+
+    def draw(first):
+        uniforms = shot_uniforms(seed, min(block, shots - first), per_shot, first)
+        return first, respond(_inverse_cdf_draw(cdf, uniforms[:, 0]), uniforms[:, 1:])
+
+    def blocks():
+        if threads == 1:  # no pool: a worker thread's malloc arena costs memory
+            yield from map(draw, starts)
+            return
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(worker, bounds[:-1], np.diff(bounds)))
-        outcomes = np.concatenate(chunks, axis=0)
-    return SampleBatch(seed=seed, t=t, outcomes=outcomes, kind=kind)
+            for window in range(0, len(starts), threads):
+                yield from pool.map(draw, starts[window : window + threads])
+
+    return SampleBatch(seed, t, kind, shots, modes, blocks)
 
 
 def _amplitudes(u, photons, shots, kind):
@@ -91,9 +112,9 @@ def _amplitudes(u, photons, shots, kind):
 def sample_fock(u, photons, shots, seed, threads=1):
     """I.i.d. occupation patterns from the exact squared-amplitude table."""
     patterns, amps = _amplitudes(u, photons, shots, "fock")
-    return _draw(
-        "fock", np.abs(amps) ** 2, 1, lambda index, _: patterns[index], shots, seed, threads
-    )
+    modes = patterns.shape[1]
+    respond = lambda index, _: patterns[index]  # noqa: E731
+    return _draw("fock", np.abs(amps) ** 2, 1, respond, shots, seed, threads, modes)
 
 
 def sample_dprcv1(u, photons, t, shots, seed, threads=1):
@@ -110,7 +131,8 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     def respond(index, _):
         return (index[:, None] >> shifts) & 1
 
-    return _draw("dprcv1", table.probabilities(), 1, respond, shots, seed, threads, t=t)
+    weights = table.probabilities()
+    return _draw("dprcv1", weights, 1, respond, shots, seed, threads, table.modes, t=t)
 
 
 # Radius starts come from G on this fixed grid, dense at small R; G(64, k)
@@ -186,8 +208,8 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
     def respond(index, rest):
         return _invert_click_cdf(rest, patterns[index])
 
-    per_shot = 1 + patterns.shape[1]
-    return _draw("prcv1", np.abs(amps) ** 2, per_shot, respond, shots, seed, threads)
+    modes = patterns.shape[1]
+    return _draw("prcv1", np.abs(amps) ** 2, 1 + modes, respond, shots, seed, threads, modes)
 
 
 def _mode_overlap_columns(alphas, photons):
@@ -229,9 +251,9 @@ def _angle_response(radii, gram, u_values, photons):
     return _newton(response, u_values * hi * c0, lo, hi, u_values * hi)
 
 
-# The cv1 response walks its shots in blocks of this many complex values of
-# conditional tensor ((N+1)^M per shot): this bounds its memory, while large
-# blocks keep the per-call cost of the radius response small.
+# cv1 shot blocks hold this many complex values of conditional tensor
+# ((N+1)^M per shot): this bounds their memory, while large blocks keep the
+# per-call cost of the radius response small.
 _CV1_BLOCK_VALUES = 1 << 21
 
 
@@ -252,29 +274,26 @@ def sample_cv1(u, photons, shots, seed, threads=1):
     amp_tensor = np.zeros((levels,) * modes, dtype=complex)
     amp_tensor[tuple(patterns.T)] = amps
     first = amp_tensor.reshape(1, levels, -1)
-    block = max(1, _CV1_BLOCK_VALUES // levels**modes)
 
-    def respond(index, rest):
-        out = np.empty((len(index), modes), dtype=complex)
-        for start in range(0, len(index), block):
-            level, u_block = index[start : start + block], rest[start : start + block]
-            count = len(level)
-            tensor = first  # shared by every shot until mode 0 is drawn
-            for j in range(modes):
-                gram = tensor.conj() @ tensor.transpose(0, 2, 1)
-                gram = np.broadcast_to(gram, (count, levels, levels))
-                if j:
-                    cdf = np.cumsum(np.diagonal(gram, 0, 1, 2).real, axis=1)
-                    below = cdf <= u_block[:, 3 * j - 1, None] * cdf[:, -1:]
-                    level = np.minimum(below.sum(axis=1), photons)
-                radii = _invert_click_cdf(u_block[:, 3 * j], level)
-                angles = _angle_response(radii, gram, u_block[:, 3 * j + 1], photons)
-                alphas = np.sqrt(radii) * np.exp(1j * angles)
-                out[start : start + count, j] = alphas
-                if j < modes - 1:
-                    overlap = _mode_overlap_columns(alphas, photons)[:, None, :]
-                    tensor = (overlap @ tensor).reshape(count, levels, -1)
+    def respond(level, rest):
+        count = len(level)
+        out = np.empty((count, modes), dtype=complex)
+        tensor = first  # shared by every shot until mode 0 is drawn
+        for j in range(modes):
+            gram = tensor.conj() @ tensor.transpose(0, 2, 1)
+            gram = np.broadcast_to(gram, (count, levels, levels))
+            if j:
+                cdf = np.cumsum(np.diagonal(gram, 0, 1, 2).real, axis=1)
+                below = cdf <= rest[:, 3 * j - 1, None] * cdf[:, -1:]
+                level = np.minimum(below.sum(axis=1), photons)
+            radii = _invert_click_cdf(rest[:, 3 * j], level)
+            angles = _angle_response(radii, gram, rest[:, 3 * j + 1], photons)
+            out[:, j] = alphas = np.sqrt(radii) * np.exp(1j * angles)
+            if j < modes - 1:
+                overlap = _mode_overlap_columns(alphas, photons)[:, None, :]
+                tensor = (overlap @ tensor).reshape(count, levels, levels ** (modes - 2 - j))
         return out
 
     weights = (np.abs(first[0]) ** 2).sum(axis=1)
-    return _draw("cv1", weights, 3 * modes, respond, shots, seed, threads)
+    block = max(1, _CV1_BLOCK_VALUES // levels**modes)
+    return _draw("cv1", weights, 3 * modes, respond, shots, seed, threads, modes, block=block)

@@ -249,6 +249,7 @@ def _check_sampler_determinism(full):
             (sample_dprcv1, (u6, 3, 0.3, 5000, 77), 3),
             (sample_prcv1, (u3, 2, 2000, 77), 5),
             (sample_cv1, (haar_unitary(2, 520), 1, 300, 77), 2),
+            (sample_dprcv1, (u, 2, 0.05, 40_000, 9), 3),  # crosses a block edge
         ]
     runs = [
         (sampler(*args).outcomes, sampler(*args, threads=threads).outcomes)
@@ -256,7 +257,7 @@ def _check_sampler_determinism(full):
     ]
     prefix = sample_dprcv1(u, 2, 0.05, 1000, 9).outcomes
     ok = all(np.array_equal(a, b) for a, b in runs) and np.array_equal(runs[0][0][:1000], prefix)
-    return ok, "thread- and chunk-independent: " + ", ".join(c[0].__name__ for c in cases)
+    return ok, "thread- and block-independent: " + ", ".join(c[0].__name__ for c in cases)
 
 
 def _check_sampler_tv(full):

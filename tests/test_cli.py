@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 
 from cvboson import cli
 from cvboson.cli import main
+from cvboson.errors import SIZE_LIMITS
 from cvboson.fock import haar_unitary
 from cvboson.io import fmt17, read_unitary_json, write_csv, write_unitary_json
+from cvboson.sampler import SampleBatch
 from cvboson.special import dark_count_probability, detector_efficiency
 
 
@@ -440,10 +443,9 @@ def _csv_writer_lines(kind, outcomes):
 
 @pytest.mark.parametrize("kind", ["dprcv1", "fock", "prcv1", "cv1"])
 @pytest.mark.parametrize("modes", [1, 2, 5])
-def test_chunked_outcome_lines_match_csv_writer(kind, modes, monkeypatch):
-    # a small chunk makes the shot numbers cross 10, 100 and 1000 within and
-    # across chunks
-    monkeypatch.setattr(cli, "SAMPLE_CHUNK", 97)
+def test_chunked_outcome_lines_match_csv_writer(kind, modes):
+    # 97-shot blocks make the shot numbers cross 10, 100 and 1000 within and
+    # across blocks
     rng = np.random.default_rng(modes)
     shots = 1203
     if kind == "dprcv1":
@@ -455,8 +457,42 @@ def test_chunked_outcome_lines_match_csv_writer(kind, modes, monkeypatch):
         values = rng.standard_normal((shots, 2 * modes)) * scale
         values[0, 0], values[1, -1] = -0.0, 1e308
         outcomes = np.abs(values[:, :modes]) if kind == "prcv1" else values.view(complex)
-    lines = "".join(cli._outcome_lines(kind, outcomes)).splitlines(keepends=True)
+    blocks = [(first, outcomes[first : first + 97]) for first in range(0, shots, 97)]
+    batch = SampleBatch(0, None, kind, shots, modes, lambda: iter(blocks))
+    lines = "".join(cli._outcome_lines(batch)).splitlines(keepends=True)
     assert lines == _csv_writer_lines(kind, outcomes).splitlines(keepends=True)
+
+
+def test_sample_memory_does_not_grow_with_shots(tmp_path):
+    # each block is formatted and written as it is drawn, so four times the
+    # shots keep the same peak; holding every shot grew it about fourfold
+    upath = tmp_path / "u.json"
+    write_unitary_json(upath, haar_unitary(4, 5))
+    peaks = []
+    for shots in (100_000, 400_000):
+        argv = ["sample", "--unitary", str(upath), "--photons", "2", "--detector", "dprcv1",
+                "--t", "0.1", "--shots", str(shots), "--seed", "1", "--out",
+                str(tmp_path / "s.csv")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_sweep_report_shots_beyond_outcome_limit(tmp_path, monkeypatch):
+    # the frequency estimator counts hits block by block and never holds the
+    # batch's outcomes, so their size limit does not bound --shots
+    monkeypatch.setitem(SIZE_LIMITS, "sample outcome values", 100)
+    upath = tmp_path / "u.json"
+    write_unitary_json(upath, haar_unitary(4, 5))
+    argv = ["sweep-t", "--unitary", str(upath), "--photons", "2", "--out",
+            str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"), "--shots", "5000",
+            "--seed", "1"]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["perm_sq_estimate"] >= 0
 
 
 def test_sample_with_no_shots_writes_header_only(tmp_path):

@@ -7,7 +7,6 @@ from cvboson.rng import (
     gaussian_matrix,
     philox4x32,
     shot_uniforms,
-    stream_uniforms,
 )
 
 PHILOX_M0 = 0xD2511F53
@@ -44,14 +43,13 @@ def test_philox_matches_scalar_reference():
         assert [int(w) for w in got] == expected
 
 
-def test_stream_uniforms_deterministic_and_offsettable():
-    u = stream_uniforms(123, 5, 40)
-    again = stream_uniforms(123, 5, 40)
-    assert np.array_equal(u, again)
-    tail = stream_uniforms(123, 5, 17, start=23)
-    assert np.array_equal(u[23:], tail)
-    assert not np.array_equal(u, stream_uniforms(124, 5, 40))
-    assert not np.array_equal(u, stream_uniforms(123, 6, 40))
+def test_shot_uniforms_deterministic_and_keyed():
+    u = shot_uniforms(123, 1, 40, 5)
+    assert np.array_equal(u, shot_uniforms(123, 1, 40, 5))
+    # a shorter row is a prefix of a longer one, odd widths included
+    assert np.array_equal(u[:, :17], shot_uniforms(123, 1, 17, 5))
+    assert not np.array_equal(u, shot_uniforms(124, 1, 40, 5))
+    assert not np.array_equal(u, shot_uniforms(123, 1, 40, 6))
 
 
 def test_shot_rows_depend_only_on_seed_and_shot():
@@ -66,15 +64,15 @@ def test_shot_rows_depend_only_on_seed_and_shot():
 
 
 def test_uniforms_statistics():
-    u = stream_uniforms(2024, 0, 200_000)
+    u = shot_uniforms(2024, 1, 200_000)
     assert np.all(u >= 0) and np.all(u < 1)
     assert abs(u.mean() - 0.5) < 5 * np.sqrt(1 / 12 / u.size)
     assert abs(u.var() - 1 / 12) < 5e-3
 
 
 def test_negative_and_large_seeds_are_valid():
-    a = stream_uniforms(-1, 0, 8)
-    b = stream_uniforms((1 << 64) - 1, 0, 8)
+    a = shot_uniforms(-1, 2, 8)
+    b = shot_uniforms((1 << 64) - 1, 2, 8)
     assert np.array_equal(a, b)  # same 64-bit value
 
 
@@ -85,7 +83,7 @@ def test_gaussian_matrix_moments_and_determinism():
     assert abs(z.mean()) < 5 * np.sqrt(2 / n)
     assert abs((np.abs(z) ** 2).mean() - 2.0) < 5 * 2 / np.sqrt(n)
     # row-major consumption: the first entry uses the first uniform pair
-    u = stream_uniforms(42, GAUSSIAN_STREAM, 2)
+    u = shot_uniforms(42, 1, 2, GAUSSIAN_STREAM)[0]
     r = np.sqrt(-2 * np.log1p(-u[0]))
     expected = r * np.cos(2 * np.pi * u[1]) + 1j * r * np.sin(2 * np.pi * u[1])
     assert z[0, 0] == expected

@@ -14,7 +14,7 @@ from scipy import stats
 
 from cvboson import sampler as sampler_module
 from cvboson.distribution import distribution_table
-from cvboson.errors import GuardLimitError
+from cvboson.errors import SIZE_LIMITS, GuardLimitError
 from cvboson.fock import haar_unitary
 from cvboson.povm import prcv_povm_diag
 from cvboson.sampler import (
@@ -258,7 +258,7 @@ class TestCvSampler:
         for shots in (2, 20_000):
             tracemalloc.start()
             try:
-                sample_cv1(haar_unitary(4, 3), 3, shots, 1)
+                sample_cv1(haar_unitary(4, 3), 3, shots, 1).outcomes
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -282,18 +282,18 @@ _PREFIX_CASES = {
     kind=st.sampled_from(sorted(_PREFIX_CASES)),
     sizes=st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
     threads=st.tuples(st.integers(1, 4), st.integers(1, 4)),
-    cv1_block=st.integers(1, 5),
+    block=st.integers(1, 5),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_prefix_is_independent_of_threads_and_blocks(kind, sizes, threads, cv1_block, seed):
+def test_prefix_is_independent_of_threads_and_blocks(kind, sizes, threads, block, seed):
     # the first k shots of an n-shot run equal a k-shot run, however each run
-    # is split over threads and, for cv1, into response blocks (of cv1_block
-    # shots: the cv1 case holds (N+1)^M = 27 values per shot)
+    # is split over threads and into blocks of `block` shots (the cv1 case
+    # holds (N+1)^M = 27 values of conditional tensor per shot)
     sampler, args = _PREFIX_CASES[kind]
     shots, prefix = sizes
     with mock.patch.object(sampler_module.os, "cpu_count", lambda: 8), mock.patch.object(
-        sampler_module, "_CV1_BLOCK_VALUES", 27 * cv1_block
-    ):
+        sampler_module, "_CV1_BLOCK_VALUES", 27 * block
+    ), mock.patch.object(sampler_module, "_BLOCK_SHOTS", block):
         full = sampler(*args, shots, seed, threads=threads[0]).outcomes
         head = sampler(*args, prefix, seed, threads=threads[1]).outcomes
     assert np.array_equal(full[:prefix], head)
@@ -385,6 +385,46 @@ def test_negative_shots_rejected(sampler, args):
 def test_dprcv1_threshold_must_be_positive_and_finite(t):
     with pytest.raises(ValueError, match="positive and finite"):
         sample_dprcv1(haar_unitary(3, 1), 1, t, 10, 0)
+
+
+@pytest.mark.parametrize("shots", [2.5, 2.0, "3", None])
+def test_non_integer_shots_rejected(shots):
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        sample_fock(haar_unitary(3, 1), 2, shots, 0)
+
+
+def test_outcomes_beyond_size_limit_fail_before_drawing(monkeypatch):
+    monkeypatch.setitem(SIZE_LIMITS, "sample outcome values", 3 * 1000)
+    u = haar_unitary(3, 1)
+    assert sample_dprcv1(u, 2, 0.1, 1000, 0).outcomes.shape == (1000, 3)
+
+    def no_draws(*args):
+        raise AssertionError("drew shots past the outcome size limit")
+
+    monkeypatch.setattr(sampler_module, "shot_uniforms", no_draws)
+    batch = sample_dprcv1(u, 2, 0.1, 1001, 0)
+    with pytest.raises(GuardLimitError, match="sample outcome values"):
+        batch.outcomes
+    with pytest.raises(AssertionError):
+        next(batch.blocks())
+
+
+def test_one_thread_draws_on_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("built a thread pool for one thread")
+
+    monkeypatch.setattr(sampler_module, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(sampler_module, "_BLOCK_SHOTS", 7)
+    monkeypatch.setattr(sampler_module.os, "cpu_count", lambda: 1)
+    u = haar_unitary(3, 1)
+    for batch in (
+        sample_fock(u, 2, 50, 0, threads=4),
+        sample_dprcv1(u, 2, 0.1, 50, 0),
+        sample_prcv1(u, 2, 50, 0),
+        sample_cv1(u, 1, 50, 0, threads=1),
+    ):
+        assert [first for first, _ in batch.blocks()] == list(range(0, 50, 7))
+        assert batch.outcomes.shape == (50, 3)
 
 
 def test_zero_shots_give_empty_batches():
