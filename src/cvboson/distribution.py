@@ -67,13 +67,27 @@ def amplitude_table(u, photons):
     return patterns, amps
 
 
-def _pattern_sum(coeffs, occ, factors):
-    """sum_n coeffs[n] prod_j factors[..., j, n_j] over the occupation patterns
-    n (the rows of occ). factors[..., j, k] is mode j's factor at Fock level k;
-    leading axes, if any, index a stack of outcomes. The gathered factors are
-    made contiguous, so a stacked outcome's value equals its unstacked one."""
-    terms = np.ascontiguousarray(factors[..., np.arange(occ.shape[1]), occ]).prod(axis=-1)
-    return (coeffs * terms).sum(axis=-1)
+def _contract(coeffs, occ, factors):
+    """sum_n coeffs[n] prod_j factors[..., j, b_j, n_j] over the patterns n (rows
+    of occ, in enumerate_fock_patterns order) for every branch word b, mode 0 the
+    most significant digit: an array (..., B^M). Leading factor axes index a stack
+    of outcomes. Modes are summed out last to first; rows sharing modes 0..j-1 are
+    contiguous, so one reduceat per mode folds them. Each entry takes the same
+    arithmetic path whatever B and the stack are, so it equals its one-branch,
+    single-outcome contraction bit for bit."""
+    modes = occ.shape[1]
+    stack, branches = factors.shape[:-3], factors.shape[-2]
+    # first mode in which each pattern differs from the one before it
+    split = np.concatenate(([-1], np.argmax(occ[1:] != occ[:-1], axis=1)))
+    values = coeffs[:, None]
+    for j in range(modes - 1, -1, -1):
+        rows = np.flatnonzero(split <= j)  # one per distinct prefix n_0..n_j
+        level_factors = factors[..., j, :, :].swapaxes(-1, -2)[..., occ[rows, j], :]
+        values = (level_factors[..., None] * values[..., None, :]).reshape(
+            stack + (len(rows), branches * values.shape[-1])
+        )
+        values = np.add.reduceat(values, np.flatnonzero(split[rows] < j), axis=-2)
+    return values.reshape(stack + (branches**modes,))
 
 
 def density_cv(u, alphas, photons):
@@ -102,7 +116,7 @@ def density_cv(u, alphas, photons):
     factors = np.stack(
         [np.conj(displacement_element(v, 1, alphas)) for v in range(photons + 1)], axis=-1
     )
-    total = _pattern_sum(amps, np.asarray(patterns), factors)
+    total = _contract(amps, np.asarray(patterns), factors[..., None, :])[..., 0]
     density = (total.real**2 + total.imag**2) / (2.0 * np.pi) ** modes
     return density if density.ndim else float(density)
 
@@ -125,12 +139,13 @@ def density_prcv(u, radii, photons):
     factors = np.array(
         [[prcv_povm_diag(1, r, v) for v in range(photons + 1)] for r in radii]
     )
-    return float(_pattern_sum(np.abs(amps) ** 2, np.asarray(patterns), factors))
+    return float(_contract(np.abs(amps) ** 2, np.asarray(patterns), factors[:, None])[0])
 
 
 def _click_factors(t, photons):
-    g_vals = np.array([g_function(t, v) for v in range(photons + 1)])
-    return g_vals, 1.0 - g_vals
+    """No-click and click rows [1 - G(t, k), G(t, k)], shaped t.shape + (2, photons + 1)."""
+    g_vals = np.stack([g_function(t, v) for v in range(photons + 1)], axis=-1)
+    return np.stack([1.0 - g_vals, g_vals], axis=-2)
 
 
 def prob_dprcv(u, clicks, t, photons):
@@ -139,7 +154,8 @@ def prob_dprcv(u, clicks, t, photons):
     P(m) = sum_n |amp(n)|^2 prod_{m_j=1} G(t, n_j) prod_{m_j=0} (1 - G(t, n_j)).
     Defined for any click count; the 2^M probabilities sum to one. t is a
     scalar (a float is returned) or an array of thresholds (an array of the
-    same shape is returned); the amplitudes are computed once for all of them.
+    same shape is returned); the amplitudes and the click responses G are
+    computed once for all of them.
     """
     t_values = np.asarray(t, dtype=float)
     for x in t_values.flat:
@@ -150,11 +166,11 @@ def prob_dprcv(u, clicks, t, photons):
     patterns, amps = amplitude_table(u, photons)
     weights = np.abs(amps) ** 2
     occ = np.asarray(patterns)
-    click_col = np.asarray(clicks, dtype=bool)[:, None]
+    click_factors = _click_factors(t_values, photons)
     probs = np.empty(t_values.shape)
-    for index, x in np.ndenumerate(t_values):
-        g_vals, gbar_vals = _click_factors(x, photons)
-        probs[index] = _pattern_sum(weights, occ, np.where(click_col, g_vals, gbar_vals))
+    # one threshold per contraction, so memory does not grow with t's size
+    for index in np.ndindex(t_values.shape):
+        probs[index] = _contract(weights, occ, click_factors[index][list(clicks), None])[0]
     return float(probs) if probs.ndim == 0 else probs
 
 
@@ -183,49 +199,16 @@ class DistributionTable:
         return self.probs
 
 
-def _click_table(weights, occ, g_vals, gbar_vals):
-    """sum_n w_n prod_j f_j(m_j, n_j) for all 2^M click patterns m.
-
-    f_j(1, k) = G(t, k) and f_j(0, k) = 1 - G(t, k). The per-pattern products
-    are built mode by mode: the products over the first M // 2 modes (the
-    high-order bits of the pattern index) are formed once, then each one is
-    extended over the remaining modes as a cache-sized block. Factors are
-    multiplied in mode order and the weighted terms summed per pattern as
-    prob_dprcv does, so every entry equals prob_dprcv of its pattern bit for
-    bit.
-    """
-    count, modes = occ.shape
-    # factors[j, c]: mode j's factor at click bit c for every occupation pattern
-    factors = np.stack([gbar_vals[occ.T], g_vals[occ.T]], axis=1)
-
-    def extend(products, j):
-        # C order keeps each pattern's terms contiguous, so the row sums below
-        # take the same pairwise path as prob_dprcv's one-dimensional sum
-        return np.multiply(products[:, None, :], factors[j], order="C").reshape(-1, count)
-
-    head_modes = modes // 2
-    head = np.ones((1, count))
-    for j in range(head_modes):
-        head = extend(head, j)
-    out = np.empty((len(head), 1 << (modes - head_modes)))
-    for row, prefix in zip(out, head):
-        block = prefix[None, :]
-        for j in range(head_modes, modes):
-            block = extend(block, j)
-        row[:] = (weights * block).sum(axis=1)
-    return out.ravel()
-
-
 def distribution_table(u, photons, t):
     """Exact probabilities of all 2^M click patterns, in lexicographic order."""
     t = check_threshold(t)
     u = check_unitary(u)
-    check_size("click table modes", u.shape[0])
+    modes = u.shape[0]
+    check_size("click table modes", modes)
     check_size("click table photons", photons)
     patterns, amps = amplitude_table(u, photons)
-    weights = np.abs(amps) ** 2
-    g_vals, gbar_vals = _click_factors(t, photons)
-    probs = _click_table(weights, np.asarray(patterns), g_vals, gbar_vals)
+    factors = np.broadcast_to(_click_factors(t, photons), (modes, 2, photons + 1))
+    probs = _contract(np.abs(amps) ** 2, np.asarray(patterns), factors)
     probs.flags.writeable = False
     residual = abs(math.fsum(probs) - 1.0)
     return DistributionTable(t=t, probs=probs, normalization_residual=residual)
@@ -301,4 +284,4 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
         cell[v] = (out_cell, in_cell)
     # mode j's factor at level k is the in-cell mass if j clicked, else the out-cell mass
     factors = cell[:, clicks].T
-    return float(_pattern_sum(np.abs(amps) ** 2, np.asarray(patterns), factors))
+    return float(_contract(np.abs(amps) ** 2, np.asarray(patterns), factors[:, None])[0])

@@ -21,6 +21,7 @@ class InvariantViolation(RuntimeError):
 
 # Largest size each exact desk-scale routine accepts, by the quantity it bounds.
 SIZE_LIMITS = {
+    "unitary modes": 1_000,
     "naive permanent dimension": 10,
     "Ryser permanent dimension": 30,
     "amplitude table patterns": 10_000,

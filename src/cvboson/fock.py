@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidPatternError, InvariantViolation
+from .errors import InvalidPatternError, InvariantViolation, check_size
 from .permanent import permanent_ryser
 from .rng import gaussian_matrix
 from .special import laguerre
@@ -39,6 +39,7 @@ def haar_unitary(modes, seed):
     """
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
+    check_size("unitary modes", modes)
     a = gaussian_matrix(seed, modes, modes)
     q = np.zeros((modes, modes), dtype=complex)
     for j in range(modes):

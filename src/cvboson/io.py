@@ -1,9 +1,9 @@
 """File formats: unitary JSON round-trip and CSV output with metadata headers.
 
 All writers are atomic (temp file in the target directory, then rename) and
-floats are written with 17 significant digits so files round-trip bit-exactly
-across languages. CSV files start with `# key=value` metadata lines carrying
-the seed, detector settings, and tool version of the run that produced them.
+give files the mode open() would; floats carry 17 significant digits so files
+round-trip bit-exactly across languages. CSV files start with `# key=value`
+metadata lines: the seed, detector settings and tool version of the run.
 """
 
 import csv
@@ -31,6 +31,9 @@ def _atomic_writer(path):
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             yield handle
+        umask = os.umask(0)  # mkstemp makes the file 0600; give it the mode open() would
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvboson import cli
+from cvboson import cli, fock
 from cvboson.cli import main
 from cvboson.errors import SIZE_LIMITS
 from cvboson.fock import haar_unitary
@@ -380,7 +380,9 @@ class TestCli:
 
 
 # sha256 of small seeded output files, pinned before the sample, exact-dist and
-# sweep paths were vectorised; any change to their bytes is a format change.
+# sweep paths were vectorised. A new summation order in the exact pattern sums
+# moves the last digits of the exact-dist and sweep-t outputs; any other change
+# to their bytes is a format change.
 GOLDEN_OUTPUTS = {
     "fock": (
         ["sample", "--photons", "2", "--detector", "fock", "--shots", "300", "--seed", "11"],
@@ -401,12 +403,12 @@ GOLDEN_OUTPUTS = {
     ),
     "exact-dist": (
         ["exact-dist", "--photons", "3", "--t", "0.05"],
-        {"out.csv": "fd0a5ca16d59793da221d70ddea53838c3f8ab537897a20e30313703d2fb3ad7"},
+        {"out.csv": "f35c83861d27e85d0f629d38d50ed026c30ec3a6e07dc0057c548c220bc03923"},
     ),
     "sweep-t": (
         ["sweep-t", "--photons", "3", "--report", "report.json"],
-        {"out.csv": "0269e014d3e7ded9052f2c4ed0c25d028f0f729e54959ed5a922edfb07a20fed",
-         "report.json": "b23783bf1ab44ef5ab32516e86d04955136ef83c6b29a582d3cd1d57d2ac152b"},
+        {"out.csv": "6366509b9d2b427cf4fac2936ffb9870f08726afdf2355b127084076c3dc11c3",
+         "report.json": "f5a4001e0b5328f594cae3032884a1ff0034a58e759f6372120557737077e29a"},
     ),
 }
 
@@ -542,6 +544,28 @@ def test_sweep_beyond_pattern_limit_is_guard_violation(tmp_path, capsys):
     assert main(["sweep-t", "--unitary", str(upath), "--photons", "5", "--out", str(out)]) == 2
     assert "guard violation" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unitary_beyond_mode_limit_is_guard_violation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(SIZE_LIMITS, "unitary modes", 4)
+    monkeypatch.setattr(fock, "gaussian_matrix", lambda *args: pytest.fail("drew a matrix"))
+    out = tmp_path / "u.json"
+    assert main(["gen-unitary", "--modes", "5", "--seed", "3", "--out", str(out)]) == 2
+    assert "guard violation: unitary modes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_honour_the_umask(umask, mode, tmp_path):
+    upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    previous = os.umask(umask)
+    try:
+        assert main(["gen-unitary", "--modes", "2", "--seed", "5", "--out", str(upath)]) == 0
+        assert main(["sample", "--unitary", str(upath), "--photons", "1", "--detector", "fock",
+                     "--shots", "3", "--seed", "1", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert [path.stat().st_mode & 0o777 for path in (upath, out)] == [mode, mode]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -223,7 +223,7 @@ class TestDistributionTable:
         expected = np.array(
             [prob_dprcv(u, m, t, photons) for m in itertools.product((0, 1), repeat=modes)]
         )
-        np.testing.assert_allclose(probs, expected, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(probs, expected)
 
     def test_probability_array_is_read_only(self):
         probs = distribution_table(haar_unitary(3, 1), 2, 0.1).probabilities()
@@ -360,12 +360,23 @@ def test_array_thresholds_match_scalar_calls(modes, photons, seed, ts, column):
     assert np.array_equal(probs.ravel(), scalars)
 
 
-def _fsum_pattern_sum(u, photons, weight, factor):
-    """sum_n weight(amp(n)) prod_j factor(j, n_j), one pattern at a time, with
+def test_prob_dprcv_contracts_one_threshold_at_a_time(monkeypatch):
+    # a stacked threshold axis would make memory grow with the sweep's length
+    shapes = []
+    contract = distribution._contract
+    monkeypatch.setattr(
+        distribution, "_contract", lambda c, o, f: shapes.append(f.shape) or contract(c, o, f)
+    )
+    probs = prob_dprcv(haar_unitary(4, 1), (1, 0, 1, 0), np.full((3, 5), 0.2), 2)
+    assert probs.shape == (3, 5) and shapes == [(4, 1, 3)] * 15
+
+
+def _fsum_pattern_sum(amps, weight, factor):
+    """sum_n weight(amps[n]) prod_j factor(j, n_j), one pattern at a time, with
     the real and imaginary parts of the terms summed by math.fsum."""
     terms = []
-    for pattern in enumerate_fock_patterns(u.shape[0], photons):
-        term = complex(weight(fock_amplitude(u, pattern)))
+    for pattern, amp in amps.items():
+        term = complex(weight(amp))
         for j, n in enumerate(pattern):
             term *= factor(j, n)
         terms.append(term)
@@ -383,16 +394,18 @@ def test_pattern_sums_match_fsum_reference(modes, photons, seed):
     clicks = tuple(int(m) for m in rng.integers(0, 2, modes))
     t = 0.3
 
+    amps = {p: fock_amplitude(u, p) for p in enumerate_fock_patterns(modes, photons)}
+
     def close(got, expected):
         return abs(got - expected) <= 1e-14 * abs(expected)
 
     total = _fsum_pattern_sum(
-        u, photons, lambda a: a, lambda j, n: np.conj(displacement_element(n, 1, alphas[j]))
+        amps, lambda a: a, lambda j, n: np.conj(displacement_element(n, 1, alphas[j]))
     )
     assert close(density_cv(u, alphas, photons), abs(total) ** 2 / (2 * np.pi) ** modes)
 
     expected = _fsum_pattern_sum(
-        u, photons, lambda a: abs(a) ** 2, lambda j, n: prcv_povm_diag(1, radii[j], n)
+        amps, lambda a: abs(a) ** 2, lambda j, n: prcv_povm_diag(1, radii[j], n)
     )
     assert close(density_prcv(u, radii, photons), expected.real)
 
@@ -403,5 +416,18 @@ def test_pattern_sums_match_fsum_reference(modes, photons, seed):
             lambda r: prcv_povm_diag(1, r, n), lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200
         )[0]
 
-    expected = _fsum_pattern_sum(u, photons, lambda a: abs(a) ** 2, lambda j, n: cell(n, clicks[j]))
+    expected = _fsum_pattern_sum(amps, lambda a: abs(a) ** 2, lambda j, n: cell(n, clicks[j]))
     assert close(prcv_cell_integral(u, clicks, t, photons), expected.real)
+
+    def click_prob(m, x):
+        g = [g_function(x, n) for n in range(photons + 1)]
+        return _fsum_pattern_sum(
+            amps, lambda a: abs(a) ** 2, lambda j, n: g[n] if m[j] else 1.0 - g[n]
+        ).real
+
+    table = distribution_table(u, photons, t).probabilities()
+    for m, prob in zip(itertools.product((0, 1), repeat=modes), table):
+        assert close(prob, click_prob(m, t))
+    ts = np.array([[0.01, 0.3], [1.0, 2.5]])
+    for x, prob in zip(ts.flat, prob_dprcv(u, clicks, ts, photons).flat):
+        assert close(prob, click_prob(clicks, x))

@@ -115,6 +115,10 @@ class TestPatternEnumeration:
         patterns = enumerate_fock_patterns(3, 2)
         assert patterns[0] == (2, 0, 0)
         assert patterns[-1] == (0, 0, 2)
+        # the exact contraction folds rows sharing a prefix, so the whole order counts
+        for modes, photons in ((5, 3), (7, 4)):
+            patterns = enumerate_fock_patterns(modes, photons)
+            assert patterns == tuple(sorted(patterns, reverse=True))
 
     def test_cache_is_bounded(self):
         assert enumerate_fock_patterns.cache_info().maxsize is not None

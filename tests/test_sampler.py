@@ -18,6 +18,7 @@ from cvboson.errors import SIZE_LIMITS, GuardLimitError
 from cvboson.fock import haar_unitary
 from cvboson.povm import prcv_povm_diag
 from cvboson.sampler import (
+    _inverse_cdf_draw,
     _invert_click_cdf,
     _thread_count,
     sample_cv1,
@@ -297,6 +298,27 @@ def test_prefix_is_independent_of_threads_and_blocks(kind, sizes, threads, block
         full = sampler(*args, shots, seed, threads=threads[0]).outcomes
         head = sampler(*args, prefix, seed, threads=threads[1]).outcomes
     assert np.array_equal(full[:prefix], head)
+
+
+_WEIGHT = st.one_of(
+    st.just(0.0), st.floats(1e-300, 1e2), st.integers(-300, 2).map(lambda e: 10.0**e)
+)
+_UNIFORM = st.one_of(st.sampled_from([0.0, 1 - 2**-53]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(_WEIGHT, min_size=1, max_size=30).filter(lambda w: sum(w) > 0),
+    u=st.lists(_UNIFORM, min_size=1, max_size=20),
+)
+def test_inverse_cdf_draw_lands_in_its_cdf_step(weights, u):
+    # index i is drawn only if cdf[i-1] <= u * cdf[-1] < cdf[i], so never at a zero weight
+    cdf = np.cumsum(weights)
+    u = np.array(u)
+    idx = _inverse_cdf_draw(cdf, u)
+    assert np.all(np.array(weights)[idx] > 0)
+    assert np.all(np.concatenate(([0.0], cdf))[idx] <= u * cdf[-1])
+    assert np.all(u * cdf[-1] < cdf[idx])
 
 
 def test_invert_click_cdf_roundtrip():
