@@ -10,6 +10,7 @@ A default seed may be supplied through the CVBOSON_SEED environment variable.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from .distribution import distribution_table
-from .errors import GuardLimitError, InvariantViolation
+from .errors import GuardLimitError, InvariantViolation, check_size
 from .estimate import build_estimate_report, deviation_sweep, estimate_perm_from_samples
 from .fock import check_unitary, haar_unitary
 from .io import _atomic_writer, fmt17, read_unitary_json, write_csv, write_unitary_json
@@ -83,17 +84,23 @@ def _cmd_exact_dist(args):
     }
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
-    modes = table.modes
-    rows = [
-        [format(index, f"0{modes}b"), probability]
-        for index, probability in enumerate(table.probabilities().tolist())
-    ]
     if args.out:
-        write_csv(args.out, ["pattern", "probability"], rows, meta)
+        write_csv(args.out, ["pattern", "probability"], _table_lines(table, "\r\n"), meta)
     else:
-        for pattern, probability in rows:
-            print(f"{pattern},{fmt17(probability)}")
+        sys.stdout.writelines(_table_lines(table, "\n"))
     return EXIT_OK
+
+
+def _table_lines(table, end):
+    """`pattern,probability` lines ending in `end`, in blocks of 1024 rows."""
+    probs = table.probabilities()
+    shifts = np.arange(table.modes - 1, -1, -1)
+    for first in range(0, probs.size, 1024):
+        block = probs[first : first + 1024]
+        index = np.arange(first, first + block.size)
+        digits = ((index[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+        patterns = digits.view(f"S{table.modes}")[:, 0].astype(str)
+        yield _float_lines(f"%s,%.17g{end}", [patterns, block])
 
 
 def _digit_lines(first, values, sep):
@@ -127,15 +134,10 @@ def _digit_lines(first, values, sep):
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def _float_lines(first, values):
-    """`shot,outcome` CSV lines for rows of floats, each rendered as fmt17 does."""
-    count, width = values.shape
-    cell = ",".join(["%.17g"] * width)
-    line = f'%d,"{cell}"\r\n' if width > 1 else f"%d,{cell}\r\n"
-    fields = np.empty((count, width + 1), dtype=object)
-    fields[:, 0] = range(first, first + count)
-    fields[:, 1:] = values.tolist()
-    return (line * count) % tuple(fields.ravel())
+def _float_lines(line, columns):
+    """`line` %-formatted with each row of `columns` (equal-length arrays) at once."""
+    rows = zip(*(column.tolist() for column in columns))
+    return (line * len(columns[0])) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _outcome_lines(batch):
@@ -151,7 +153,10 @@ def _outcome_lines(batch):
         if batch.kind in ("dprcv1", "fock"):
             yield _digit_lines(first, rows, sep=batch.kind == "fock")
         else:
-            yield _float_lines(first, rows.view(np.float64) if batch.kind == "cv1" else rows)
+            values = rows.view(np.float64) if batch.kind == "cv1" else rows
+            cell = ",".join(["%.17g"] * values.shape[1])
+            line = f'%d,"{cell}"\r\n' if values.shape[1] > 1 else f"%d,{cell}\r\n"
+            yield _float_lines(line, [np.arange(first, first + len(values)), *values.T])
 
 
 def _cmd_sample(args):
@@ -181,6 +186,7 @@ def _cmd_sample(args):
 
 
 def _cmd_sweep_t(args):
+    check_size("threshold points", args.points)
     u, u_meta = _load_unitary(args.unitary)
     t_grid = np.geomspace(args.t_min, args.t_max, args.points)
     sweep = deviation_sweep(u, args.photons, t_grid)
@@ -199,11 +205,12 @@ def _cmd_sweep_t(args):
         meta["quadratic_bound"] = fmt17(sweep.quadratic_bound)
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
-    rows = []
-    for t, delta in zip(sweep.t_values, sweep.deviations):
-        ratio = sweep.perm_sq_true + delta
-        rows.append([float(t), ratio * t**args.photons, ratio, delta])
-    write_csv(args.out, ["t", "p_exact", "p_over_tN", "delta"], rows, meta)
+    ratio = sweep.perm_sq_true + sweep.deviations
+    # Python's float power: numpy's array power rounds some t^N differently
+    p_exact = ratio * [t**args.photons for t in sweep.t_values.tolist()]
+    columns = [sweep.t_values, p_exact, ratio, sweep.deviations]
+    lines = _float_lines("%.17g,%.17g,%.17g,%.17g\r\n", columns)
+    write_csv(args.out, ["t", "p_exact", "p_over_tN", "delta"], [lines], meta)
 
     if args.report:
         t_work = float(t_grid[0])
@@ -212,16 +219,9 @@ def _cmd_sweep_t(args):
             batch = sample_dprcv1(u, args.photons, t_work, args.shots, seed)
             p_tilde = estimate_perm_from_samples(batch, t_work, args.photons).value
         else:
-            p_tilde = float(
-                sweep.perm_sq_true + sweep.deviations[0]
-            )  # exact ratio at the working threshold
+            p_tilde = float(ratio[0])  # exact ratio at the working threshold
         report = build_estimate_report(
-            u,
-            args.photons,
-            t_work,
-            p_tilde=p_tilde,
-            lower_bound=args.lower_bound,
-            g=args.g,
+            u, args.photons, t_work, p_tilde=p_tilde, lower_bound=args.lower_bound, g=args.g
         )
         with _atomic_writer(args.report) as handle:
             json.dump(report.as_dict(), handle, indent=1)
@@ -230,6 +230,7 @@ def _cmd_sweep_t(args):
 
 
 def _cmd_detector_curves(args):
+    check_size("threshold points", args.points)
     grid = np.linspace(0.0, args.t_max, args.points)
     table = detector_curves(grid)
     meta = {
@@ -237,8 +238,8 @@ def _cmd_detector_curves(args):
         "t_max": fmt17(args.t_max),
         "points": args.points,
     }
-    rows = [[float(t), float(eta), float(p_dark)] for t, eta, p_dark in table]
-    write_csv(args.out, ["t", "eta", "p_dark"], rows, meta)
+    lines = _float_lines("%.17g,%.17g,%.17g\r\n", table.T)
+    write_csv(args.out, ["t", "eta", "p_dark"], [lines], meta)
     return EXIT_OK
 
 

@@ -41,30 +41,31 @@ def check_click_pattern(pattern, modes=None):
 def amplitude_table(u, photons):
     """All transition amplitudes for `photons` photons through U.
 
-    Returns (patterns, amplitudes) over enumerate_fock_patterns(M, photons);
-    the squared amplitudes sum to one. The submatrix of every pattern (first
-    N rows, column j repeated n_j times) is stacked and all permanents come
-    from one batched Ryser run; each amplitude equals fock_amplitude of its
-    pattern bit for bit. Guarded on the pattern count C(M + N - 1, N), which
-    is checked before any pattern is enumerated.
+    Returns (occ, amplitudes): occ is the read-only (P, M) int array of the
+    enumerate_fock_patterns(M, photons) rows; the squared amplitudes sum to
+    one. The submatrix of every pattern (first N rows, column j repeated n_j
+    times) is stacked and all permanents come from one batched Ryser run; each
+    amplitude equals fock_amplitude of its pattern bit for bit. Guarded on the
+    pattern count C(M + N - 1, N), checked before any pattern is enumerated.
     """
     u = check_unitary(u)
     modes = u.shape[0]
     if photons > modes:
         raise InvalidPatternError(f"need N <= M, got N={photons}, M={modes}")
     check_size("amplitude table patterns", math.comb(modes + photons - 1, photons))
-    patterns = enumerate_fock_patterns(modes, photons)
-    occ = np.asarray(patterns)
+    patterns = itertools.chain.from_iterable(enumerate_fock_patterns(modes, photons))
+    occ = np.fromiter(patterns, dtype=int).reshape(-1, modes)
+    occ.flags.writeable = False
     # column indices of each submatrix: mode j repeated n_j times, ascending
-    cols = np.repeat(np.tile(np.arange(modes), len(patterns)), occ.ravel())
-    cols = cols.reshape(len(patterns), photons)
+    cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())
+    cols = cols.reshape(len(occ), photons)
     perms = permanent_ryser_batch(u[:photons][:, cols].transpose(1, 0, 2))
     factorials = np.array([math.factorial(k) for k in range(photons + 1)], dtype=float)
     norm = np.sqrt(factorials[occ].prod(axis=1))
-    amps = np.empty(len(patterns), dtype=complex)
+    amps = np.empty(len(occ), dtype=complex)
     amps.real = perms.real / norm
     amps.imag = perms.imag / norm
-    return patterns, amps
+    return occ, amps
 
 
 def _contract(coeffs, occ, factors):
@@ -112,11 +113,11 @@ def density_cv(u, alphas, photons):
     alphas = np.asarray(alphas, dtype=complex)
     if alphas.shape[-1:] != (modes,):
         raise ValueError(f"expected {modes} outcomes, got shape {alphas.shape}")
-    patterns, amps = amplitude_table(u, photons)
+    occ, amps = amplitude_table(u, photons)
     factors = np.stack(
         [np.conj(displacement_element(v, 1, alphas)) for v in range(photons + 1)], axis=-1
     )
-    total = _contract(amps, np.asarray(patterns), factors[..., None, :])[..., 0]
+    total = _contract(amps, occ, factors[..., None, :])[..., 0]
     density = (total.real**2 + total.imag**2) / (2.0 * np.pi) ** modes
     return density if density.ndim else float(density)
 
@@ -135,11 +136,11 @@ def density_prcv(u, radii, photons):
         raise ValueError(f"expected {modes} radii, got shape {radii.shape}")
     if np.any(radii < 0):
         raise ValueError("radii must be non-negative")
-    patterns, amps = amplitude_table(u, photons)
+    occ, amps = amplitude_table(u, photons)
     factors = np.array(
         [[prcv_povm_diag(1, r, v) for v in range(photons + 1)] for r in radii]
     )
-    return float(_contract(np.abs(amps) ** 2, np.asarray(patterns), factors[:, None])[0])
+    return float(_contract(np.abs(amps) ** 2, occ, factors[:, None])[0])
 
 
 def _click_factors(t, photons):
@@ -148,14 +149,18 @@ def _click_factors(t, photons):
     return np.stack([1.0 - g_vals, g_vals], axis=-2)
 
 
+_STACK_VALUES = 1 << 16  # thresholds x patterns in one prob_dprcv contraction
+
+
 def prob_dprcv(u, clicks, t, photons):
     """Probability of one click pattern under the discretized detector.
 
     P(m) = sum_n |amp(n)|^2 prod_{m_j=1} G(t, n_j) prod_{m_j=0} (1 - G(t, n_j)).
     Defined for any click count; the 2^M probabilities sum to one. t is a
     scalar (a float is returned) or an array of thresholds (an array of the
-    same shape is returned); the amplitudes and the click responses G are
-    computed once for all of them.
+    same shape is returned); amplitudes and click responses G are computed once
+    for all of them, contracted in stacks of max(1, _STACK_VALUES // P)
+    thresholds, so memory does not grow with their number.
     """
     t_values = np.asarray(t, dtype=float)
     for x in t_values.flat:
@@ -163,15 +168,15 @@ def prob_dprcv(u, clicks, t, photons):
     u = check_unitary(u)
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes=modes)
-    patterns, amps = amplitude_table(u, photons)
+    occ, amps = amplitude_table(u, photons)
     weights = np.abs(amps) ** 2
-    occ = np.asarray(patterns)
-    click_factors = _click_factors(t_values, photons)
-    probs = np.empty(t_values.shape)
-    # one threshold per contraction, so memory does not grow with t's size
-    for index in np.ndindex(t_values.shape):
-        probs[index] = _contract(weights, occ, click_factors[index][list(clicks), None])[0]
-    return float(probs) if probs.ndim == 0 else probs
+    click_factors = _click_factors(t_values.ravel(), photons)[:, list(clicks), None]
+    probs = np.empty(t_values.size)
+    stack = max(1, _STACK_VALUES // len(occ))
+    for first in range(0, t_values.size, stack):
+        block = click_factors[first : first + stack]
+        probs[first : first + stack] = _contract(weights, occ, block)[:, 0]
+    return float(probs[0]) if t_values.ndim == 0 else probs.reshape(t_values.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +211,9 @@ def distribution_table(u, photons, t):
     modes = u.shape[0]
     check_size("click table modes", modes)
     check_size("click table photons", photons)
-    patterns, amps = amplitude_table(u, photons)
+    occ, amps = amplitude_table(u, photons)
     factors = np.broadcast_to(_click_factors(t, photons), (modes, 2, photons + 1))
-    probs = _contract(np.abs(amps) ** 2, np.asarray(patterns), factors)
+    probs = _contract(np.abs(amps) ** 2, occ, factors)
     probs.flags.writeable = False
     residual = abs(math.fsum(probs) - 1.0)
     return DistributionTable(t=t, probs=probs, normalization_residual=residual)
@@ -267,7 +272,7 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
     u = check_unitary(u)
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes=modes)
-    patterns, amps = amplitude_table(u, photons)
+    occ, amps = amplitude_table(u, photons)
     cell = np.empty((photons + 1, 2))
     for v in range(photons + 1):
         in_cell, _ = integrate.quad(
@@ -284,4 +289,4 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
         cell[v] = (out_cell, in_cell)
     # mode j's factor at level k is the in-cell mass if j clicked, else the out-cell mass
     factors = cell[:, clicks].T
-    return float(_contract(np.abs(amps) ** 2, np.asarray(patterns), factors[:, None])[0])
+    return float(_contract(np.abs(amps) ** 2, occ, factors[:, None])[0])

@@ -37,6 +37,7 @@ SIZE_LIMITS = {
     "cv1 sampler modes": 4,
     "cv1 sampler photons": 3,
     "sample outcome values": 1 << 25,
+    "threshold points": 100_000,
 }
 
 

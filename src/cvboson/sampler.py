@@ -91,9 +91,13 @@ def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None,
         if threads == 1:  # no pool: a worker thread's malloc arena costs memory
             yield from map(draw, starts)
             return
+        # window k + 1 is drawn while the caller consumes window k
         with ThreadPoolExecutor(max_workers=threads) as pool:
+            ahead = ()
             for window in range(0, len(starts), threads):
-                yield from pool.map(draw, starts[window : window + threads])
+                current, ahead = ahead, pool.map(draw, starts[window : window + threads])
+                yield from current
+            yield from ahead
 
     return SampleBatch(seed, t, kind, shots, modes, blocks)
 
@@ -105,8 +109,7 @@ def _amplitudes(u, photons, shots, kind):
     u = check_unitary(u)
     check_size(f"{kind} sampler modes", u.shape[0])
     check_size(f"{kind} sampler photons", photons)
-    patterns, amps = amplitude_table(u, photons)
-    return np.asarray(patterns, dtype=int), amps
+    return amplitude_table(u, photons)
 
 
 def sample_fock(u, photons, shots, seed, threads=1):

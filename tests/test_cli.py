@@ -13,11 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvboson import cli, fock
+from cvboson import cli, fock, sampler
 from cvboson.cli import main
+from cvboson.distribution import distribution_table
 from cvboson.errors import SIZE_LIMITS
+from cvboson.estimate import SweepFit
 from cvboson.fock import haar_unitary
 from cvboson.io import fmt17, read_unitary_json, write_csv, write_unitary_json
+from cvboson.povm import detector_curves
 from cvboson.sampler import SampleBatch
 from cvboson.special import dark_count_probability, detector_efficiency
 
@@ -62,7 +65,7 @@ class TestCsv:
     def test_metadata_and_full_precision(self, tmp_path):
         path = tmp_path / "x.csv"
         value = 1 / 3
-        write_csv(path, ["a", "b"], [[1, value]], {"seed": 5})
+        write_csv(path, ["a", "b"], [f"1,{fmt17(value)}\r\n"], {"seed": 5})
         meta, header, rows = _read_csv(path)
         assert meta["seed"] == "5"
         assert "version" in meta
@@ -428,8 +431,7 @@ def test_output_bytes_match_golden_hash(name, tmp_path, monkeypatch):
 
 def _csv_writer_lines(kind, outcomes):
     """The sample rows as csv.writer renders them, one Python call per cell."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    rows = []
     for shot, row in enumerate(outcomes):
         if kind == "dprcv1":
             cell = "".join(str(int(x)) for x in row)
@@ -439,8 +441,8 @@ def _csv_writer_lines(kind, outcomes):
             cell = ",".join(fmt17(x) for x in row)
         else:
             cell = ",".join(f"{fmt17(x.real)},{fmt17(x.imag)}" for x in row)
-        writer.writerow([shot, cell])
-    return buffer.getvalue()
+        rows.append([shot, cell])
+    return _csv_writer_text(rows)
 
 
 @pytest.mark.parametrize("kind", ["dprcv1", "fock", "prcv1", "cv1"])
@@ -581,3 +583,107 @@ def test_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "False"
+
+
+def _data_text(path):
+    """The header and rows of a CSV written by write_csv, line ends kept."""
+    lines = Path(path).read_bytes().decode().splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("#"))
+
+
+def _csv_writer_text(rows, lineterminator="\r\n"):
+    """Rows as csv.writer renders them, floats through fmt17, one call per cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=lineterminator)
+    for row in rows:
+        writer.writerow([fmt17(cell) if isinstance(cell, float) else cell for cell in row])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("modes,photons,t", [(1, 1, 1e-3), (5, 3, 2.5), (12, 4, 0.37)])
+def test_exact_dist_lines_match_csv_writer(modes, photons, t, tmp_path, capsys):
+    # 1024-row blocks: M = 12 writes 4 of them
+    u = haar_unitary(modes, modes)
+    upath = tmp_path / "u.json"
+    write_unitary_json(upath, u)
+    argv = ["exact-dist", "--unitary", str(upath), "--photons", str(photons), "--t", repr(t)]
+    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert main(argv) == 0
+    probs = distribution_table(u, photons, t).probabilities().tolist()
+    rows = [[format(index, f"0{modes}b"), p] for index, p in enumerate(probs)]
+    assert _data_text(tmp_path / "d.csv") == _csv_writer_text([["pattern", "probability"]] + rows)
+    assert capsys.readouterr().out == _csv_writer_text(rows, "\n")
+
+
+# floats at the edges of %.17g rendering: signed zero, the smallest subnormal,
+# exponent switches and the largest decades
+_EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-5, 1e308, 0.1, 1 / 3, -2.5e-310]
+
+
+@pytest.mark.parametrize("edges", [False, True])
+def test_sweep_lines_match_csv_writer(edges, tmp_path, monkeypatch):
+    fits = []
+    sweep = cli.deviation_sweep
+    if edges:
+        t_values = np.array([1e-5, 5e-324, 0.1, 1e-16, 0.05, 1e-300, 0.07, 3e-3])
+        fit = SweepFit(t_values, np.array(_EDGE_VALUES), 0.5, 2.0, 0.0, 0.25, False)
+        monkeypatch.setattr(cli, "deviation_sweep", lambda *args: fits.append(fit) or fit)
+    else:
+        monkeypatch.setattr(cli, "deviation_sweep", lambda *a: fits.append(sweep(*a)) or fits[-1])
+    upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    write_unitary_json(upath, haar_unitary(5, 2))
+    argv = ["sweep-t", "--unitary", str(upath), "--photons", "3", "--points", "8", "--out"]
+    assert main(argv + [str(out)]) == 0
+    (fit,) = fits
+    rows = [["t", "p_exact", "p_over_tN", "delta"]]
+    for t, delta in zip(fit.t_values, fit.deviations):
+        ratio = fit.perm_sq_true + delta
+        rows.append([float(t), ratio * float(t) ** 3, ratio, delta])
+    assert _data_text(out) == _csv_writer_text(rows)
+
+
+@pytest.mark.parametrize("edges", [False, True])
+def test_detector_curve_lines_match_csv_writer(edges, tmp_path, monkeypatch):
+    tables = []
+    edge_table = np.reshape(_EDGE_VALUES + [7.0], (3, 3))
+    curves = (lambda grid: edge_table) if edges else detector_curves
+    monkeypatch.setattr(cli, "detector_curves", lambda g: tables.append(curves(g)) or tables[-1])
+    out = tmp_path / "c.csv"
+    assert main(["detector-curves", "--t-max", "7", "--points", "57", "--out", str(out)]) == 0
+    rows = [["t", "eta", "p_dark"]] + [[float(x) for x in row] for row in tables[0]]
+    assert _data_text(out) == _csv_writer_text(rows)
+
+
+@pytest.mark.parametrize("points", [100_001, 10**12])
+@pytest.mark.parametrize("command", ["sweep-t", "detector-curves"])
+def test_threshold_points_beyond_limit_are_guard_violations(command, points, tmp_path, capsys,
+                                                             monkeypatch):
+    # the guard precedes the grid: a 10**12-point grid would exhaust memory
+    for grid in ("geomspace", "linspace"):
+        monkeypatch.setattr(cli.np, grid, lambda *args: pytest.fail("built the grid"))
+    upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    write_unitary_json(upath, haar_unitary(3, 1))
+    unitary = ["--unitary", str(upath), "--photons", "1"] if command == "sweep-t" else []
+    argv = [command, *unitary, "--points", str(points), "--out", str(out)]
+    assert main(argv) == 2
+    assert "guard violation: threshold points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("detector", ["fock", "dprcv1", "prcv1", "cv1"])
+def test_sample_bytes_do_not_depend_on_threads_or_blocks(detector, tmp_path, monkeypatch):
+    # 7-shot blocks give many thread-pool windows, each drawn while the one
+    # before it is written
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 8)
+    upath = tmp_path / "u.json"
+    write_unitary_json(upath, haar_unitary(3, 4))
+    argv = ["sample", "--unitary", str(upath), "--photons", "2", "--detector", detector,
+            "--shots", "100", "--seed", "9"] + (["--t", "0.3"] if detector == "dprcv1" else [])
+    outputs = set()
+    for block in (sampler._BLOCK_SHOTS, 7):
+        monkeypatch.setattr(sampler, "_BLOCK_SHOTS", block)
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"{block}-{threads}.csv"
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1

@@ -309,8 +309,8 @@ class TestLeadingOrder:
 
 
 def test_amplitude_table_normalized():
-    patterns, amps = amplitude_table(haar_unitary(5, 23), 3)
-    assert len(patterns) == len(amps) == 35
+    occ, amps = amplitude_table(haar_unitary(5, 23), 3)
+    assert occ.shape == (35, 5) and len(amps) == 35
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1, abs=1e-10)
 
 
@@ -319,7 +319,9 @@ def test_amplitude_table_normalized():
 def test_batched_amplitudes_match_single_pattern_oracles(modes, photons, seed):
     photons = min(photons, modes)
     u = haar_unitary(modes, seed)
-    patterns, amps = amplitude_table(u, photons)
+    occ, amps = amplitude_table(u, photons)
+    assert occ.dtype == int and not occ.flags.writeable
+    patterns = tuple(map(tuple, occ.tolist()))
     assert patterns == enumerate_fock_patterns(modes, photons)  # collisions included
     for pattern, amp in zip(patterns, amps):
         expected = fock_amplitude(u, pattern)
@@ -360,15 +362,29 @@ def test_array_thresholds_match_scalar_calls(modes, photons, seed, ts, column):
     assert np.array_equal(probs.ravel(), scalars)
 
 
-def test_prob_dprcv_contracts_one_threshold_at_a_time(monkeypatch):
-    # a stacked threshold axis would make memory grow with the sweep's length
-    shapes = []
+def test_prob_dprcv_contracts_thresholds_in_bounded_stacks(monkeypatch):
+    # thresholds are contracted a bounded stack at a time, so memory does not
+    # grow with the sweep's length, and stacking leaves every value unchanged
+    stacks = []
     contract = distribution._contract
     monkeypatch.setattr(
-        distribution, "_contract", lambda c, o, f: shapes.append(f.shape) or contract(c, o, f)
+        distribution,
+        "_contract",
+        lambda c, o, f: stacks.append(math.prod(f.shape[:-3]) * len(o)) or contract(c, o, f),
     )
-    probs = prob_dprcv(haar_unitary(4, 1), (1, 0, 1, 0), np.full((3, 5), 0.2), 2)
-    assert probs.shape == (3, 5) and shapes == [(4, 1, 3)] * 15
+    u, clicks = haar_unitary(4, 1), (1, 0, 1, 0)
+    ts = np.geomspace(1e-3, 3.0, 15).reshape(3, 5)
+    probs = prob_dprcv(u, clicks, ts, 2)
+    scalars = [[prob_dprcv(u, clicks, x, 2) for x in row] for row in ts]
+    np.testing.assert_array_equal(probs, scalars)
+    assert stacks == [15 * 10] + [10] * 15  # 10 patterns: one stack, then the scalar calls
+    # 35 patterns of 4 photons in 4 modes: 64 thresholds per stack
+    monkeypatch.setattr(distribution, "_STACK_VALUES", 35 * 64)
+    stacks.clear()
+    ts = np.geomspace(1e-4, 5.0, 200)
+    probs = prob_dprcv(u, clicks, ts, 4)
+    assert stacks == [35 * 64] * 3 + [35 * 8]
+    np.testing.assert_array_equal(probs, [prob_dprcv(u, clicks, x, 4) for x in ts])
 
 
 def _fsum_pattern_sum(amps, weight, factor):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cvboson.fock import displacement_element
 from cvboson.povm import (
     TruncatedOperator,
     cvn_povm_element,
@@ -279,8 +280,6 @@ class TestCvElement:
     def test_trace_is_displaced_level_norm(self):
         alpha = 0.6 - 0.2j
         element = cvn_povm_element(1, alpha, 25)
-        from cvboson.fock import displacement_element
-
         norm = sum(abs(displacement_element(j, 1, alpha)) ** 2 for j in range(26))
         assert np.trace(element.entries).real == pytest.approx(norm / (2 * np.pi), rel=1e-12)
 
@@ -295,13 +294,17 @@ class TestCvElement:
         simpson[1:-1:2] = 4.0
         simpson[2:-1:2] = 2.0
         simpson *= h / 3.0
+        thetas = 2 * np.pi * np.arange(n_theta) / n_theta
         total = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         for r_value, w_r in zip(np.arange(n_radial + 1) * h, simpson):
-            for theta in 2 * np.pi * np.arange(n_theta) / n_theta:
-                alpha = math.sqrt(r_value) * complex(math.cos(theta), math.sin(theta))
-                total += cvn_povm_element(1, alpha, cutoff).entries * (
-                    w_r * 2 * np.pi / n_theta
-                )
+            # columns v[:, k] = <j|D(alpha_k)|1>: the element at alpha_k is
+            # v v^+ / (2 pi), weighted by w_r * 2 pi / n_theta
+            alphas = math.sqrt(r_value) * np.exp(1j * thetas)
+            v = np.array([displacement_element(j, 1, alphas) for j in range(cutoff + 1)])
+            total += (v @ v.conj().T) * (w_r / n_theta)
+        element = cvn_povm_element(1, alphas[5], cutoff).entries
+        np.testing.assert_allclose(element, np.outer(v[:, 5], v[:, 5].conj()) / (2 * np.pi),
+                                   rtol=0, atol=1e-15)
         levels = cutoff // 2 + 1
         np.testing.assert_allclose(total[:levels, :levels], np.eye(levels), atol=1e-4)
 

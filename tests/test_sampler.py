@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -447,6 +448,29 @@ def test_one_thread_draws_on_the_calling_thread(monkeypatch):
     ):
         assert [first for first, _ in batch.blocks()] == list(range(0, 50, 7))
         assert batch.outcomes.shape == (50, 3)
+
+
+def test_pool_draws_the_next_window_while_the_caller_holds_one(monkeypatch):
+    # with 2 threads and 10-shot blocks a window is 20 shots: while the caller
+    # holds block 0, window 1 (shots 20-39) is drawn and window 2 is not
+    monkeypatch.setattr(sampler_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler_module, "_BLOCK_SHOTS", 10)
+    drawn = []
+    uniforms = sampler_module.shot_uniforms
+
+    def recorded(seed, shots, per_shot, first):
+        drawn.append(first)
+        return uniforms(seed, shots, per_shot, first)
+
+    monkeypatch.setattr(sampler_module, "shot_uniforms", recorded)
+    blocks = sample_fock(haar_unitary(3, 1), 2, 100, 0, threads=2).blocks()
+    assert next(blocks)[0] == 0
+    deadline = time.monotonic() + 10
+    while len(drawn) < 4 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert sorted(drawn) == [0, 10, 20, 30]
+    assert [first for first, _ in blocks] == list(range(10, 100, 10))
+    assert sorted(drawn) == list(range(0, 100, 10))
 
 
 def test_zero_shots_give_empty_batches():
