@@ -19,7 +19,6 @@ from .fock import (
 )
 from .permanent import permanent_naive, permanent_ryser
 from .povm import (
-    TruncatedOperator,
     cvn_povm_element,
     detector_curves,
     dprcv1_povm,
@@ -68,7 +67,6 @@ __all__ = [
     "submatrix_with_multiplicity",
     "permanent_naive",
     "permanent_ryser",
-    "TruncatedOperator",
     "cvn_povm_element",
     "dark_count_probability",
     "detector_curves",

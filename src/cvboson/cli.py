@@ -10,6 +10,8 @@ A default seed may be supplied through the CVBOSON_SEED environment variable.
 """
 
 import argparse
+import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -206,13 +208,7 @@ def _cmd_sweep_t(args):
     if "seed" in u_meta:
         meta["unitary_seed"] = u_meta["seed"]
     ratio = sweep.perm_sq_true + sweep.deviations
-    # Python's float power: numpy's array power rounds some t^N differently
-    p_exact = ratio * [t**args.photons for t in sweep.t_values.tolist()]
-    columns = [sweep.t_values, p_exact, ratio, sweep.deviations]
-    lines = _float_lines("%.17g,%.17g,%.17g,%.17g\r\n", columns)
-    write_csv(args.out, ["t", "p_exact", "p_over_tN", "delta"], [lines], meta)
-
-    if args.report:
+    if args.report:  # built first, so that bad report inputs leave no file behind
         t_work = float(t_grid[0])
         if args.shots:
             seed = _default_seed(args.seed)
@@ -223,8 +219,14 @@ def _cmd_sweep_t(args):
         report = build_estimate_report(
             u, args.photons, t_work, p_tilde=p_tilde, lower_bound=args.lower_bound, g=args.g
         )
+    # Python's float power: numpy's array power rounds some t^N differently
+    p_exact = ratio * [t**args.photons for t in sweep.t_values.tolist()]
+    columns = [sweep.t_values, p_exact, ratio, sweep.deviations]
+    lines = _float_lines("%.17g,%.17g,%.17g,%.17g\r\n", columns)
+    write_csv(args.out, ["t", "p_exact", "p_over_tN", "delta"], [lines], meta)
+    if args.report:
         with _atomic_writer(args.report) as handle:
-            json.dump(report.as_dict(), handle, indent=1)
+            json.dump(dataclasses.asdict(report), handle, indent=1)
             handle.write("\n")
     return EXIT_OK
 
@@ -256,7 +258,9 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="cvboson", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cvboson {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -315,9 +319,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,12 +28,12 @@ from .permanent import permanent_ryser_batch
 from .povm import prcv_povm_diag
 from .special import g_function
 
-def check_click_pattern(pattern, modes=None):
+def check_click_pattern(pattern, modes):
     """Validate a click pattern (binary vector) and return it as a tuple of ints."""
     pattern = tuple(int(m) for m in pattern)
     if any(m not in (0, 1) for m in pattern):
         raise InvalidPatternError(f"click entries must be 0 or 1, got {pattern}")
-    if modes is not None and len(pattern) != modes:
+    if len(pattern) != modes:
         raise InvalidPatternError(f"click pattern has {len(pattern)} modes, expected {modes}")
     return pattern
 
@@ -167,7 +167,7 @@ def prob_dprcv(u, clicks, t, photons):
         check_threshold(x)
     u = check_unitary(u)
     modes = u.shape[0]
-    clicks = check_click_pattern(clicks, modes=modes)
+    clicks = check_click_pattern(clicks, modes)
     occ, amps = amplitude_table(u, photons)
     weights = np.abs(amps) ** 2
     click_factors = _click_factors(t_values.ravel(), photons)[:, list(clicks), None]
@@ -197,9 +197,6 @@ class DistributionTable:
     def modes(self):
         return self.probs.size.bit_length() - 1
 
-    def patterns(self):
-        return tuple(itertools.product((0, 1), repeat=self.modes))
-
     def probabilities(self):
         return self.probs
 
@@ -219,7 +216,7 @@ def distribution_table(u, photons, t):
     return DistributionTable(t=t, probs=probs, normalization_residual=residual)
 
 
-def leading_order(u, clicks, t, photons=None):
+def leading_order(u, clicks, t):
     """Small-threshold structure of a click-pattern probability.
 
     For a pattern with N clicks, returns (leading, neighbor_mass) where
@@ -232,17 +229,12 @@ def leading_order(u, clicks, t, photons=None):
     """
     u = check_unitary(u)
     modes = u.shape[0]
-    clicks = check_click_pattern(clicks, modes=modes)
-    n_clicks = sum(clicks)
-    if photons is not None and photons != n_clicks:
-        raise InvalidPatternError(
-            f"pattern has {n_clicks} clicks but {photons} photons were requested"
-        )
+    clicks = check_click_pattern(clicks, modes)
     t = check_threshold(t)
     ones = [j for j, m in enumerate(clicks) if m == 1]
     zeros = [j for j, m in enumerate(clicks) if m == 0]
     check_size("leading order neighbors", len(ones) * len(zeros))
-    leading = abs(fock_amplitude(u, clicks)) ** 2 * t**n_clicks
+    leading = abs(fock_amplitude(u, clicks)) ** 2 * t ** len(ones)
     neighbor_mass = 0.0
     for i in ones:
         for j in zeros:
@@ -252,26 +244,26 @@ def leading_order(u, clicks, t, photons=None):
     return leading, neighbor_mass
 
 
-def radial_tail_cutoff(k, eps=1e-12):
-    """Smallest grid radius R with 1 - G(R, k) <= eps (closed-form tail scan)."""
+def radial_tail_cutoff(k):
+    """Smallest grid radius R with 1 - G(R, k) <= 1e-12 (closed-form tail scan)."""
     for big_r in range(10, 1000, 5):
-        if 1.0 - g_function(float(big_r), k) <= eps:
+        if 1.0 - g_function(float(big_r), k) <= 1e-12:
             return float(big_r)
-    raise RuntimeError(f"no cutoff below 1000 for level {k} at eps={eps}")
+    raise RuntimeError(f"no cutoff below 1000 for level {k}")
 
 
-def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
+def prcv_cell_integral(u, clicks, t, photons):
     """Click-pattern probability by per-mode quadrature of the radial density.
 
     Independent route to prob_dprcv: each mode's factor is integrated
     numerically over [0, t] (click) or [t, R_max] (no click), with R_max
-    chosen per Fock level so the neglected tail is below tail_eps.
+    chosen per Fock level so the neglected tail is below 1e-12.
     """
     from scipy import integrate
 
     u = check_unitary(u)
     modes = u.shape[0]
-    clicks = check_click_pattern(clicks, modes=modes)
+    clicks = check_click_pattern(clicks, modes)
     occ, amps = amplitude_table(u, photons)
     cell = np.empty((photons + 1, 2))
     for v in range(photons + 1):
@@ -281,7 +273,7 @@ def prcv_cell_integral(u, clicks, t, photons, tail_eps=1e-12):
         out_cell, _ = integrate.quad(
             lambda r: prcv_povm_diag(1, r, v),
             t,
-            radial_tail_cutoff(v, tail_eps),
+            radial_tail_cutoff(v),
             epsabs=1e-13,
             epsrel=1e-12,
             limit=200,

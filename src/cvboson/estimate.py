@@ -9,7 +9,7 @@ an additive error term into a widened multiplicative factor.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +42,14 @@ class SweepFit:
 
     deviations[i] = prob/t^N - perm_sq_true at t_values[i]; linear_coeff is
     the fitted slope of that deviation and quadratic_bound the smallest C
-    with |deviation - linear_coeff * t| <= C t^2 on the grid. fit_residual
-    is the largest absolute misfit of the two-term model. degenerate marks
-    instances whose permanent is numerically zero (no stable fit exists).
+    with |deviation - linear_coeff * t| <= C t^2 on the grid. degenerate
+    marks instances whose permanent is numerically zero (no stable fit exists).
     """
 
     t_values: np.ndarray
     deviations: np.ndarray
     linear_coeff: float
     quadratic_bound: float
-    fit_residual: float
     perm_sq_true: float
     degenerate: bool
 
@@ -72,7 +70,7 @@ def deviation_sweep(u, photons, t_list):
 
     if perm_sq < DEGENERATE_PERM_SQ:
         nan = float("nan")
-        return SweepFit(t_values, deviations, nan, nan, nan, perm_sq, True)
+        return SweepFit(t_values, deviations, nan, nan, perm_sq, True)
 
     design = np.column_stack([t_values, t_values**2])
     scale = np.abs(design).max(axis=0)
@@ -80,11 +78,8 @@ def deviation_sweep(u, photons, t_list):
         raise ValueError("threshold grid is too degenerate for a two-term fit")
     coef, *_ = np.linalg.lstsq(design / scale, deviations, rcond=None)
     linear, quad = coef / scale
-    fit_residual = float(np.abs(deviations - linear * t_values - quad * t_values**2).max())
     quadratic_bound = float(np.abs((deviations - linear * t_values) / t_values**2).max())
-    return SweepFit(
-        t_values, deviations, float(linear), quadratic_bound, fit_residual, perm_sq, False
-    )
+    return SweepFit(t_values, deviations, float(linear), quadratic_bound, perm_sq, False)
 
 
 @dataclass(frozen=True)
@@ -186,16 +181,17 @@ class EstimateReport:
     mult_factor_g: float
     effective_factor_g_prime: float
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def build_estimate_report(u, photons, t, p_tilde, lower_bound=None, g=1.1):
     """Assemble an EstimateReport at working threshold t.
 
     The error term E is measured, not assumed: an exact sweep around t fits
     the linear part of the deviation and E is the remainder at t. The
-    default lower bound is the true squared permanent itself.
+    default lower bound is the true squared permanent itself. The widened
+    factor g' comes from mult_bound_check and is infinite where the chain does
+    not apply (|E|/L >= 1/2). Inputs that break the chain's premises (g <= 1,
+    L <= 0, L > |Per|^2, and so a zero permanent with the default L) raise
+    ValueError.
     """
     t_grid = np.geomspace(t, min(16 * t, 0.1), 6)
     sweep = deviation_sweep(u, photons, t_grid)
@@ -206,13 +202,12 @@ def build_estimate_report(u, photons, t, p_tilde, lower_bound=None, g=1.1):
         error_term = float(sweep.deviations[0] - sweep.linear_coeff * t)
     if lower_bound is None:
         lower_bound = perm_sq
-    ratio = abs(error_term) / lower_bound
-    g_prime = (1 + 2 * ratio) * g if ratio < 0.5 else float("inf")
+    check = mult_bound_check(perm_sq, error_term, lower_bound, g, p_tilde)
     return EstimateReport(
         perm_sq_true=perm_sq,
         perm_sq_estimate=p_tilde,
         error_term_E=error_term,
         lower_bound_L=lower_bound,
         mult_factor_g=g,
-        effective_factor_g_prime=g_prime,
+        effective_factor_g_prime=check.g_prime if check.applicable else float("inf"),
     )

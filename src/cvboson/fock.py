@@ -18,14 +18,16 @@ from .special import laguerre
 UNITARITY_TOL = 1e-12
 
 
-def check_unitary(u, tol=UNITARITY_TOL):
-    """Validate and return U as a square complex array with U+U = I within tol."""
+def check_unitary(u):
+    """Validate and return U as a square complex array with U+U = I within UNITARITY_TOL."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         raise ValueError(f"expected a square matrix of size >= 1, got shape {u.shape}")
     defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary: max |U+U - I| = {defect:.3e} > {tol:.0e}")
+    if defect > UNITARITY_TOL:
+        raise ValueError(
+            f"matrix is not unitary: max |U+U - I| = {defect:.3e} > {UNITARITY_TOL:.0e}"
+        )
     return u
 
 

@@ -79,14 +79,14 @@ def read_unitary_json(path):
     return re + 1j * im, meta
 
 
-def write_csv(path, columns, blocks, meta=None):
+def write_csv(path, columns, blocks, meta):
     """Write a CSV with `# key=value` metadata lines above the column header.
 
     `blocks` is any iterable of str, each a run of complete, formatted CSV lines
     ending in CRLF, consumed as the file is written so large outputs stream.
     """
     with _atomic_writer(path) as handle:
-        for key, value in dict(meta or {}, version=VERSION).items():
+        for key, value in dict(meta, version=VERSION).items():
             handle.write(f"# {key}={value}\n")
         handle.write(",".join(columns) + "\r\n")
         # not writelines, which frees each block sooner and doubled page faults

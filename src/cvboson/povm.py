@@ -15,46 +15,12 @@ completeness residuals) for the closed forms above.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import check_threshold
 from .fock import displacement_element
 from .special import dark_count_probability, detector_efficiency, g_function, laguerre
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Operator on Fock space truncated at photon number `cutoff`."""
-
-    cutoff: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.cutoff + 1, self.cutoff + 1):
-            raise ValueError(
-                f"entries shape {entries.shape} inconsistent with cutoff {self.cutoff}"
-            )
-        object.__setattr__(self, "entries", entries)
-
-    def hermiticity_defect(self):
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def min_eigenvalue(self):
-        sym = (self.entries + self.entries.conj().T) / 2.0
-        return float(np.linalg.eigvalsh(sym).min())
-
-    def validate(self, hermitian_tol=1e-12, psd_floor=-1e-10):
-        """Check the POVM-element invariants (hermitian, positive semidefinite)."""
-        defect = self.hermiticity_defect()
-        if defect > hermitian_tol:
-            raise ValueError(f"hermiticity defect {defect:.3e} > {hermitian_tol:.0e}")
-        lo = self.min_eigenvalue()
-        if lo < psd_floor:
-            raise ValueError(f"minimum eigenvalue {lo:.3e} < {psd_floor:.0e}")
-        return self
 
 
 def prcv_povm_diag(ancilla_n, big_r, k):
@@ -79,7 +45,8 @@ def prcv_povm_diag(ancilla_n, big_r, k):
 
 
 def cvn_povm_element(ancilla_n, alpha, cutoff):
-    """CV-n element (1/2pi) D(alpha)|n><n|D+(alpha), truncated at `cutoff`.
+    """CV-n element (1/2pi) D(alpha)|n><n|D+(alpha), truncated at `cutoff`:
+    a (cutoff + 1, cutoff + 1) complex array.
 
     Rank one by construction; entry (j, k) is
     (1/2pi) <j|D(alpha)|n> conj(<k|D(alpha)|n>). With this normalization the
@@ -90,20 +57,19 @@ def cvn_povm_element(ancilla_n, alpha, cutoff):
     if cutoff < ancilla_n:
         raise ValueError(f"cutoff {cutoff} must cover the ancilla level {ancilla_n}")
     v = np.array([displacement_element(j, ancilla_n, alpha) for j in range(cutoff + 1)])
-    return TruncatedOperator(cutoff=cutoff, entries=np.outer(v, v.conj()) / (2.0 * np.pi))
+    return np.outer(v, v.conj()) / (2.0 * np.pi)
 
 
 def dprcv1_povm(t, cutoff):
-    """Click / no-click pair of the discretized ancilla-1 detector.
+    """Click / no-click pair of the discretized ancilla-1 detector, as two
+    (cutoff + 1, cutoff + 1) complex arrays.
 
     Both operators are Fock-diagonal: the click element carries G(t, k) and
     the no-click element 1 - G(t, k), so they sum to the identity exactly.
     """
     t = check_threshold(t)
     diag = np.array([g_function(t, k) for k in range(cutoff + 1)])
-    click = TruncatedOperator(cutoff=cutoff, entries=np.diag(diag).astype(complex))
-    no_click = TruncatedOperator(cutoff=cutoff, entries=np.diag(1.0 - diag).astype(complex))
-    return click, no_click
+    return np.diag(diag).astype(complex), np.diag(1.0 - diag).astype(complex)
 
 
 def detector_curves(t_grid):
@@ -121,7 +87,7 @@ def detector_curves(t_grid):
     return np.column_stack([t, detector_efficiency(t), dark_count_probability(t)])
 
 
-def prcv_completeness_residual(ancilla_n, cutoff, r_max, epsabs=1e-12):
+def prcv_completeness_residual(ancilla_n, cutoff, r_max):
     """Per-level defect of integrating the phase-randomized element over [0, r_max].
 
     residual[k] = |1 - int_0^{r_max} prcv_povm_diag(n, R, k) dR| by adaptive
@@ -138,7 +104,7 @@ def prcv_completeness_residual(ancilla_n, cutoff, r_max, epsabs=1e-12):
             lambda big_r: prcv_povm_diag(ancilla_n, big_r, k),
             0.0,
             r_max,
-            epsabs=epsabs,
+            epsabs=1e-12,
             epsrel=1e-12,
             limit=200,
         )
@@ -154,11 +120,12 @@ def prcv_phase_average(ancilla_n, big_r, cutoff, n_theta=2048):
     """Grid average over the oscillator phase of the CV-n element at radius sqrt(R).
 
     Averages 2pi * cvn_povm_element(n, sqrt(R) e^{i theta}, cutoff) over a
-    uniform theta grid. The result should be Fock-diagonal with diagonal
-    prcv_povm_diag(n, R, k); both facts are what the callers verify.
+    uniform theta grid; returns a (cutoff + 1, cutoff + 1) complex array. The
+    result should be Fock-diagonal with diagonal prcv_povm_diag(n, R, k); both
+    facts are what the callers verify.
     """
     if cutoff < ancilla_n:
         raise ValueError(f"cutoff {cutoff} must cover the ancilla level {ancilla_n}")
     alphas = math.sqrt(big_r) * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
     v = np.array([displacement_element(j, ancilla_n, alphas) for j in range(cutoff + 1)])
-    return TruncatedOperator(cutoff=cutoff, entries=v @ v.conj().T / n_theta)
+    return v @ v.conj().T / n_theta

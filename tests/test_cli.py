@@ -499,6 +499,32 @@ def test_sweep_report_shots_beyond_outcome_limit(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "r.json").read_text())["perm_sq_estimate"] >= 0
 
 
+_BEAM_SPLITTER = np.array([[1, 1], [1, -1]]) / np.sqrt(2)  # |Per|^2 = 0 at two photons
+
+
+@pytest.mark.parametrize(
+    "u,flags,message",
+    [
+        (haar_unitary(4, 5), ["--lower-bound", "0"], "lower bound must be positive"),
+        (haar_unitary(4, 5), ["--lower-bound", "-1"], "lower bound must be positive"),
+        (haar_unitary(4, 5), ["--lower-bound", "1000"], "is below its lower bound"),
+        (haar_unitary(4, 5), ["--g", "0.5"], "multiplicative factor must exceed 1"),
+        (_BEAM_SPLITTER, [], "lower bound must be positive, got 0.0"),
+    ],
+    ids=["zero-L", "negative-L", "L-above-perm-sq", "g-below-one", "zero-permanent"],
+)
+def test_invalid_report_input_is_usage_error(u, flags, message, tmp_path, capsys):
+    # the report is built before either file is written, so a failure leaves neither
+    upath, out, report = tmp_path / "u.json", tmp_path / "s.csv", tmp_path / "r.json"
+    write_unitary_json(upath, u)
+    argv = ["sweep-t", "--unitary", str(upath), "--photons", "2", "--out", str(out),
+            "--report", str(report)]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists() and not report.exists()
+
+
 def test_sample_with_no_shots_writes_header_only(tmp_path):
     upath = tmp_path / "u.json"
     main(["gen-unitary", "--modes", "3", "--seed", "5", "--out", str(upath)])
@@ -626,7 +652,7 @@ def test_sweep_lines_match_csv_writer(edges, tmp_path, monkeypatch):
     sweep = cli.deviation_sweep
     if edges:
         t_values = np.array([1e-5, 5e-324, 0.1, 1e-16, 0.05, 1e-300, 0.07, 3e-3])
-        fit = SweepFit(t_values, np.array(_EDGE_VALUES), 0.5, 2.0, 0.0, 0.25, False)
+        fit = SweepFit(t_values, np.array(_EDGE_VALUES), 0.5, 2.0, 0.25, False)
         monkeypatch.setattr(cli, "deviation_sweep", lambda *args: fits.append(fit) or fit)
     else:
         monkeypatch.setattr(cli, "deviation_sweep", lambda *a: fits.append(sweep(*a)) or fits[-1])

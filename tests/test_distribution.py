@@ -196,10 +196,6 @@ class TestProbDprcv:
 
 
 class TestDistributionTable:
-    def test_lexicographic_pattern_order(self):
-        table = distribution_table(haar_unitary(3, 2), 1, 0.1)
-        assert table.patterns()[:3] == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
-
     def test_residual_small_at_full_scale(self):
         table = distribution_table(haar_unitary(12, 5), 4, 0.02)
         assert isinstance(table, DistributionTable)
@@ -284,7 +280,7 @@ class TestLeadingOrder:
             ratios[t] = prob_dprcv(u, clicks, t, 2) / t**2
         richardson = (10 * ratios[1e-5] - ratios[1e-4]) / 9
         assert richardson == pytest.approx(perm_sq, rel=1e-6)
-        leading, _ = leading_order(u, clicks, 1e-5, 2)
+        leading, _ = leading_order(u, clicks, 1e-5)
         assert leading == pytest.approx(perm_sq * 1e-10, rel=1e-12)
 
     def test_neighbor_mass_bounded_by_one(self):
@@ -292,10 +288,6 @@ class TestLeadingOrder:
             u = haar_unitary(5, seed)
             _, neighbor_mass = leading_order(u, (1, 1, 0, 0, 0), 1e-3)
             assert 0 <= neighbor_mass <= 1
-
-    def test_click_count_mismatch_rejected(self):
-        with pytest.raises(InvalidPatternError):
-            leading_order(np.eye(3), (1, 1, 0), 1e-3, photons=3)
 
     def test_neighbor_count_guarded_before_any_permanent(self, monkeypatch):
         monkeypatch.setitem(SIZE_LIMITS, "leading order neighbors", 3)

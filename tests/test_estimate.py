@@ -1,6 +1,7 @@
 """Tests for threshold discretization, deviation sweeps, the frequency
 estimator, and the multiplicative-bound chain."""
 
+import dataclasses
 import json
 import math
 
@@ -228,7 +229,7 @@ class TestEstimateReport:
 
     def test_json_round_trip_field_names(self):
         report = EstimateReport(1.0, 0.99, 1e-6, 0.5, 1.1, 1.1000044)
-        payload = json.loads(json.dumps(report.as_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert set(payload) == {
             "perm_sq_true",
             "perm_sq_estimate",

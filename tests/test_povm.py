@@ -19,7 +19,6 @@ from scipy.integrate import quad
 
 from cvboson.fock import displacement_element
 from cvboson.povm import (
-    TruncatedOperator,
     cvn_povm_element,
     detector_curves,
     dprcv1_povm,
@@ -253,10 +252,10 @@ class TestPrcvDiag:
         cutoff = 14
         for big_r in (0.3, 1.0, 4.2):
             averaged = prcv_phase_average(1, big_r, cutoff, n_theta=512)
-            off_diagonal = averaged.entries - np.diag(np.diag(averaged.entries))
+            off_diagonal = averaged - np.diag(np.diag(averaged))
             assert np.abs(off_diagonal).max() <= 1e-8
             for k in range(cutoff + 1):
-                assert averaged.entries[k, k].real == pytest.approx(
+                assert averaged[k, k].real == pytest.approx(
                     prcv_povm_diag(1, big_r, k), abs=1e-8
                 )
 
@@ -266,22 +265,23 @@ class TestCvElement:
         element = cvn_povm_element(1, 0, 6)
         expected = np.zeros((7, 7))
         expected[1, 1] = 1 / (2 * np.pi)
-        np.testing.assert_allclose(element.entries, expected, atol=1e-15)
+        np.testing.assert_allclose(element, expected, atol=1e-15)
 
     def test_hermitian_psd_rank_one(self):
         rng = np.random.default_rng(5)
         for n in (0, 1, 2):
             alpha = complex(rng.normal(), rng.normal())
             element = cvn_povm_element(n, alpha, 10)
-            element.validate()
-            singular_values = np.linalg.svd(element.entries, compute_uv=False)
+            assert np.abs(element - element.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh((element + element.conj().T) / 2).min() >= -1e-10
+            singular_values = np.linalg.svd(element, compute_uv=False)
             assert singular_values[1] <= 1e-14 * singular_values[0]
 
     def test_trace_is_displaced_level_norm(self):
         alpha = 0.6 - 0.2j
         element = cvn_povm_element(1, alpha, 25)
         norm = sum(abs(displacement_element(j, 1, alpha)) ** 2 for j in range(26))
-        assert np.trace(element.entries).real == pytest.approx(norm / (2 * np.pi), rel=1e-12)
+        assert np.trace(element).real == pytest.approx(norm / (2 * np.pi), rel=1e-12)
 
     def test_completeness_by_polar_quadrature(self):
         # composite-Simpson radial integral x uniform angular sum of the CV-1
@@ -302,7 +302,7 @@ class TestCvElement:
             alphas = math.sqrt(r_value) * np.exp(1j * thetas)
             v = np.array([displacement_element(j, 1, alphas) for j in range(cutoff + 1)])
             total += (v @ v.conj().T) * (w_r / n_theta)
-        element = cvn_povm_element(1, alphas[5], cutoff).entries
+        element = cvn_povm_element(1, alphas[5], cutoff)
         np.testing.assert_allclose(element, np.outer(v[:, 5], v[:, 5].conj()) / (2 * np.pi),
                                    rtol=0, atol=1e-15)
         levels = cutoff // 2 + 1
@@ -317,21 +317,21 @@ class TestDiscretizedPovm:
     def test_click_plus_no_click_is_identity(self):
         click, no_click = dprcv1_povm(0.2, 8)
         np.testing.assert_array_equal(
-            click.entries + no_click.entries, np.eye(9).astype(complex)
+            click + no_click, np.eye(9).astype(complex)
         )
 
     def test_click_diagonal_is_g(self):
         click, _ = dprcv1_povm(0.37, 6)
         for k in range(7):
-            assert click.entries[k, k].real == pytest.approx(g_function(0.37, k), abs=1e-15)
+            assert click[k, k].real == pytest.approx(g_function(0.37, k), abs=1e-15)
 
     def test_small_threshold_series(self):
         t = 1e-3
         click, _ = dprcv1_povm(t, 4)
-        assert click.entries[1, 1].real == pytest.approx(
+        assert click[1, 1].real == pytest.approx(
             t - 1.5 * t**2 + 7 / 6 * t**3, rel=1e-6
         )
-        assert click.entries[0, 0].real == pytest.approx(t**2 / 2 - t**3 / 3, rel=1e-6)
+        assert click[0, 0].real == pytest.approx(t**2 / 2 - t**3 / 3, rel=1e-6)
 
     def test_rejects_bad_threshold(self):
         for t in (0.0, math.inf, math.nan):
@@ -377,9 +377,3 @@ class TestCompleteness:
         far = prcv_completeness_residual(1, 3, 40.0)
         assert far.max() <= near.max()
         assert prcv_completeness_residual(1, 1, 200.0)[1] <= 1e-12
-
-
-class TestConfigTypes:
-    def test_truncated_operator_shape_checked(self):
-        with pytest.raises(ValueError):
-            TruncatedOperator(cutoff=3, entries=np.eye(3))
