@@ -162,11 +162,12 @@ def _outcome_lines(batch):
 
 
 def _cmd_sample(args):
+    if (args.detector == "dprcv1") == (args.t is None):
+        rule = "required for" if args.t is None else f"not read by {args.detector}, only by"
+        raise UsageError(f"--t is {rule} the dprcv1 detector")
     u, u_meta = _load_unitary(args.unitary)
     seed = _default_seed(args.seed)
     if args.detector == "dprcv1":
-        if args.t is None:
-            raise UsageError("--t is required for the dprcv1 detector")
         batch = sample_dprcv1(u, args.photons, args.t, args.shots, seed, threads=args.threads)
     else:
         sampler = {"fock": sample_fock, "prcv1": sample_prcv1, "cv1": sample_cv1}[args.detector]
@@ -188,6 +189,12 @@ def _cmd_sample(args):
 
 
 def _cmd_sweep_t(args):
+    report_flags = {"--shots": args.shots, "--g": args.g, "--lower-bound": args.lower_bound}
+    unread = [flag for flag, value in report_flags.items() if value is not None]
+    if unread and not args.report:
+        raise UsageError(f"{', '.join(unread)} only apply with --report")
+    if args.seed is not None and not args.shots:
+        raise UsageError("--seed is only read with a nonzero --shots")
     check_size("threshold points", args.points)
     u, u_meta = _load_unitary(args.unitary)
     t_grid = np.geomspace(args.t_min, args.t_max, args.points)
@@ -216,8 +223,9 @@ def _cmd_sweep_t(args):
             p_tilde = estimate_perm_from_samples(batch, t_work, args.photons).value
         else:
             p_tilde = float(ratio[0])  # exact ratio at the working threshold
+        g = {} if args.g is None else {"g": args.g}  # else the report's default factor
         report = build_estimate_report(
-            u, args.photons, t_work, p_tilde=p_tilde, lower_bound=args.lower_bound, g=args.g
+            u, args.photons, t_work, p_tilde=p_tilde, lower_bound=args.lower_bound, **g
         )
     # Python's float power: numpy's array power rounds some t^N differently
     p_exact = ratio * [t**args.photons for t in sweep.t_values.tolist()]
@@ -301,7 +309,7 @@ def build_parser():
     p.add_argument("--report", help="also write an estimate report JSON here")
     p.add_argument("--shots", type=int, help="sample-based estimate for the report")
     p.add_argument("--seed", type=int)
-    p.add_argument("--g", type=float, default=1.1)
+    p.add_argument("--g", type=float)
     p.add_argument("--lower-bound", type=float)
     p.set_defaults(func=_cmd_sweep_t)
 

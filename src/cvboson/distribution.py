@@ -11,38 +11,30 @@ so every distribution here sums or integrates to one, including patterns
 with multiply-occupied modes.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPatternError, check_size, check_threshold
-from .fock import (
-    check_unitary,
-    displacement_element,
-    enumerate_fock_patterns,
-    fock_amplitude,
-)
+from .fock import check_pattern, check_unitary, displacement_element, enumerate_fock_patterns
 from .permanent import permanent_ryser_batch
 from .povm import prcv_povm_diag
 from .special import g_function
 
 def check_click_pattern(pattern, modes):
-    """Validate a click pattern (binary vector) and return it as a tuple of ints."""
-    pattern = tuple(int(m) for m in pattern)
-    if any(m not in (0, 1) for m in pattern):
+    """Validate a click pattern (an occupation pattern of 0s and 1s); return it as a tuple."""
+    pattern = check_pattern(pattern, modes)
+    if any(m > 1 for m in pattern):
         raise InvalidPatternError(f"click entries must be 0 or 1, got {pattern}")
-    if len(pattern) != modes:
-        raise InvalidPatternError(f"click pattern has {len(pattern)} modes, expected {modes}")
     return pattern
 
 
 def amplitude_table(u, photons):
     """All transition amplitudes for `photons` photons through U.
 
-    Returns (occ, amplitudes): occ is the read-only (P, M) int array of the
-    enumerate_fock_patterns(M, photons) rows; the squared amplitudes sum to
+    Returns (occ, amplitudes): occ is the read-only (P, M) int array
+    enumerate_fock_patterns(M, photons); the squared amplitudes sum to
     one. The submatrix of every pattern (first N rows, column j repeated n_j
     times) is stacked and all permanents come from one batched Ryser run; each
     amplitude equals fock_amplitude of its pattern bit for bit. Guarded on the
@@ -50,12 +42,10 @@ def amplitude_table(u, photons):
     """
     u = check_unitary(u)
     modes = u.shape[0]
-    if photons > modes:
-        raise InvalidPatternError(f"need N <= M, got N={photons}, M={modes}")
+    if not 0 <= photons <= modes:
+        raise InvalidPatternError(f"photons must be >= 0 and <= M, got N={photons}, M={modes}")
     check_size("amplitude table patterns", math.comb(modes + photons - 1, photons))
-    patterns = itertools.chain.from_iterable(enumerate_fock_patterns(modes, photons))
-    occ = np.fromiter(patterns, dtype=int).reshape(-1, modes)
-    occ.flags.writeable = False
+    occ = enumerate_fock_patterns(modes, photons)
     # column indices of each submatrix: mode j repeated n_j times, ascending
     cols = np.repeat(np.tile(np.arange(modes), len(occ)), occ.ravel())
     cols = cols.reshape(len(occ), photons)
@@ -224,8 +214,9 @@ def leading_order(u, clicks, t):
     dominant term of prob_dprcv as t -> 0, and neighbor_mass is the summed
     squared permanent over all patterns obtained by interchanging one click
     and one non-click. The neighbor mass never exceeds one (the squared
-    permanents form a probability distribution over patterns). Guarded on
-    the neighbor count N(M - N), checked before any permanent.
+    permanents form a probability distribution over patterns). One batched
+    Ryser run gives all the permanents. Guarded on the neighbor count N(M - N),
+    checked before any permanent.
     """
     u = check_unitary(u)
     modes = u.shape[0]
@@ -234,13 +225,14 @@ def leading_order(u, clicks, t):
     ones = [j for j, m in enumerate(clicks) if m == 1]
     zeros = [j for j, m in enumerate(clicks) if m == 0]
     check_size("leading order neighbors", len(ones) * len(zeros))
-    leading = abs(fock_amplitude(u, clicks)) ** 2 * t ** len(ones)
+    # clicked columns of the pattern, then of each swap of click i and non-click j
+    cols = np.array([ones] + [sorted(set(ones) - {i} | {j}) for i in ones for j in zeros], int)
+    perms = permanent_ryser_batch(u[: len(ones)][:, cols].transpose(1, 0, 2)).tolist()
+    # Python abs and a left-to-right sum keep the scalar fock_amplitude loop's bits
+    leading = abs(perms[0]) ** 2 * t ** len(ones)
     neighbor_mass = 0.0
-    for i in ones:
-        for j in zeros:
-            swapped = list(clicks)
-            swapped[i], swapped[j] = 0, 1
-            neighbor_mass += abs(fock_amplitude(u, tuple(swapped))) ** 2
+    for perm in perms[1:]:
+        neighbor_mass += abs(perm) ** 2
     return leading, neighbor_mass
 
 

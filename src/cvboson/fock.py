@@ -6,6 +6,7 @@ multiplicity, transition amplitudes, and displaced-number matrix elements.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -68,22 +69,19 @@ def check_pattern(pattern, modes):
 
 @functools.lru_cache(maxsize=256)
 def enumerate_fock_patterns(modes, photons):
-    """All occupation patterns of `photons` photons in `modes` modes.
-
-    Ordered with larger counts in earlier modes first, e.g. (2, 1) gives
-    ((1, 0), (0, 1)); the count is C(photons + modes - 1, modes - 1).
-    """
+    """All C(modes + photons - 1, photons) occupation patterns, one per row of a
+    read-only int array. Row i counts the photons per mode of the i-th sorted
+    placement from combinations_with_replacement, so larger counts in earlier
+    modes come first: (2, 1) gives [[1, 0], [0, 1]]."""
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
     if photons < 0:
         raise ValueError(f"photons must be >= 0, got {photons}")
-    if modes == 1:
-        return ((photons,),)
-    out = []
-    for first in range(photons, -1, -1):
-        for rest in enumerate_fock_patterns(modes - 1, photons - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    placements = itertools.combinations_with_replacement(range(modes), photons)
+    photon_modes = np.array(list(placements), dtype=int)  # (P, photons)
+    occ = (photon_modes[:, :, None] == np.arange(modes)).sum(axis=1)
+    occ.flags.writeable = False
+    return occ
 
 
 def submatrix_with_multiplicity(u, pattern):

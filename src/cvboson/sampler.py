@@ -47,11 +47,13 @@ class SampleBatch:
         return np.concatenate([rows for _, rows in self.blocks()])
 
 
-def _check_shots(shots):
+def _check_counts(shots, threads):
     if not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 0:
         raise ValueError("shots must be >= 0")
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
 
 
 def _thread_count(threads, shots):
@@ -102,10 +104,9 @@ def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None,
     return SampleBatch(seed, t, kind, shots, modes, blocks)
 
 
-def _amplitudes(u, photons, shots, kind):
-    """Occupation patterns (one row each) and their amplitudes, after the shot
-    count, the unitary and the `kind` sampler's size guards are checked."""
-    _check_shots(shots)
+def _amplitudes(u, photons, shots, threads, kind):
+    """Occupation patterns and amplitudes, once counts, unitary and size guards pass."""
+    _check_counts(shots, threads)
     u = check_unitary(u)
     check_size(f"{kind} sampler modes", u.shape[0])
     check_size(f"{kind} sampler photons", photons)
@@ -114,7 +115,7 @@ def _amplitudes(u, photons, shots, kind):
 
 def sample_fock(u, photons, shots, seed, threads=1):
     """I.i.d. occupation patterns from the exact squared-amplitude table."""
-    patterns, amps = _amplitudes(u, photons, shots, "fock")
+    patterns, amps = _amplitudes(u, photons, shots, threads, "fock")
     modes = patterns.shape[1]
     respond = lambda index, _: patterns[index]  # noqa: E731
     return _draw("fock", np.abs(amps) ** 2, 1, respond, shots, seed, threads, modes)
@@ -126,7 +127,7 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     A drawn table index is decoded to its click bits directly (mode 0 is the
     most significant bit). Guarded by the click-table size limits.
     """
-    _check_shots(shots)
+    _check_counts(shots, threads)
     t = check_threshold(t)
     table = distribution_table(u, photons, t)
     shifts = np.arange(table.modes - 1, -1, -1)
@@ -206,7 +207,7 @@ def sample_prcv1(u, photons, shots, seed, threads=1):
     G(., n_j) by safeguarded Newton from a fixed radius grid, stopped once its
     step or its bracket is <= 1e-13, which leaves |G(R, n_j) - u| at rounding.
     """
-    patterns, amps = _amplitudes(u, photons, shots, "prcv1")
+    patterns, amps = _amplitudes(u, photons, shots, threads, "prcv1")
 
     def respond(index, rest):
         return _invert_click_cdf(rest, patterns[index])
@@ -271,7 +272,7 @@ def sample_cv1(u, photons, shots, seed, threads=1):
     and R inverts that level's click CDF as in prcv1. The angle then inverts
     its conditional CDF given R, and T <- sum_v <1|D+(alpha)|v> T_v.
     """
-    patterns, amps = _amplitudes(u, photons, shots, "cv1")
+    patterns, amps = _amplitudes(u, photons, shots, threads, "cv1")
     modes = patterns.shape[1]
     levels = photons + 1
     amp_tensor = np.zeros((levels,) * modes, dtype=complex)

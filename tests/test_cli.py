@@ -544,6 +544,22 @@ def test_sample_with_no_shots_writes_header_only(tmp_path):
         (["--detector", "cv1", "--shots", "-1"], "shots must be >= 0"),
         (["--detector", "dprcv1", "--t", "inf", "--shots", "5"], "positive and finite"),
         (["--detector", "dprcv1", "--t", "nan", "--shots", "5"], "positive and finite"),
+        (["--detector", "dprcv1", "--shots", "5"], "--t is required for the dprcv1 detector"),
+        (["--detector", "fock", "--t", "0.3", "--shots", "5"],
+         "--t is not read by fock, only by the dprcv1 detector"),
+        (["--detector", "prcv1", "--t", "0.3", "--shots", "5"],
+         "--t is not read by prcv1, only by the dprcv1 detector"),
+        (["--detector", "cv1", "--t", "0.3", "--shots", "5"],
+         "--t is not read by cv1, only by the dprcv1 detector"),
+        (["--detector", "fock", "--shots", "5", "--threads", "0"],
+         "threads must be a positive integer"),
+        (["--detector", "cv1", "--shots", "5", "--threads", "-3"],
+         "threads must be a positive integer"),
+        (["--detector", "dprcv1", "--t", "0.1", "--shots", "5", "--threads", "0"],
+         "threads must be a positive integer"),
+        (["--detector", "fock", "--shots", "5", "--photons", "-1"], "photons must be >= 0"),
+        (["--detector", "dprcv1", "--t", "0.1", "--shots", "5", "--photons", "-1"],
+         "photons must be >= 0"),
     ],
 )
 def test_invalid_sample_input_is_usage_error(flags, message, tmp_path, capsys):
@@ -555,6 +571,31 @@ def test_invalid_sample_input_is_usage_error(flags, message, tmp_path, capsys):
     assert main(argv + flags) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--shots", "100"], "--shots only apply with --report"),
+        (["--g", "0.5"], "--g only apply with --report"),
+        (["--lower-bound", "-3"], "--lower-bound only apply with --report"),
+        (["--shots", "100", "--seed", "1", "--g", "2", "--lower-bound", "1e-3"],
+         "--shots, --g, --lower-bound only apply with --report"),
+        (["--seed", "1"], "--seed is only read with a nonzero --shots"),
+        (["--seed", "1", "--report", "r.json"], "--seed is only read with a nonzero --shots"),
+        (["--seed", "1", "--shots", "0", "--report", "r.json"],
+         "--seed is only read with a nonzero --shots"),
+    ],
+    ids=["shots", "g", "lower-bound", "all", "seed", "seed-with-report", "seed-zero-shots"],
+)
+def test_sweep_flag_nothing_reads_is_usage_error(flags, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_unitary_json("u.json", haar_unitary(4, 5))
+    argv = ["sweep-t", "--unitary", "u.json", "--photons", "2", "--out", "s.csv"]
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_exact_dist_rejects_infinite_threshold(tmp_path, capsys):

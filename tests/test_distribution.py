@@ -295,9 +295,29 @@ class TestLeadingOrder:
         def no_permanents(*args):
             raise AssertionError("a permanent was evaluated before the guard")
 
-        monkeypatch.setattr(distribution, "fock_amplitude", no_permanents)
+        monkeypatch.setattr(distribution, "permanent_ryser_batch", no_permanents)
         with pytest.raises(GuardLimitError, match="leading order neighbors"):
             leading_order(np.eye(4), (1, 1, 0, 0), 1e-3)  # 2 * 2 = 4 neighbors
+
+    @pytest.mark.parametrize(
+        "modes,photons,seed", [(2, 1, 0), (5, 2, 1), (8, 3, 2), (12, 4, 3), (20, 5, 4), (30, 6, 5)]
+    )
+    def test_batched_permanents_equal_scalar_amplitude_loop(self, modes, photons, seed):
+        u = haar_unitary(modes, seed)
+        clicks = [1] * photons + [0] * (modes - photons)
+        np.random.default_rng(seed).shuffle(clicks)
+        t = 1e-3
+        expected_leading = abs(fock_amplitude(u, clicks)) ** 2 * t**photons
+        expected_mass = 0.0
+        for i in [j for j, m in enumerate(clicks) if m == 1]:
+            for j in [j for j, m in enumerate(clicks) if m == 0]:
+                swapped = list(clicks)
+                swapped[i], swapped[j] = 0, 1
+                expected_mass += abs(fock_amplitude(u, swapped)) ** 2
+        assert leading_order(u, clicks, t) == (expected_leading, expected_mass)
+
+    def test_no_clicks(self):
+        assert leading_order(haar_unitary(3, 1), (0, 0, 0), 1e-3) == (1.0, 0.0)
 
 
 def test_amplitude_table_normalized():
@@ -313,8 +333,8 @@ def test_batched_amplitudes_match_single_pattern_oracles(modes, photons, seed):
     u = haar_unitary(modes, seed)
     occ, amps = amplitude_table(u, photons)
     assert occ.dtype == int and not occ.flags.writeable
+    assert occ is enumerate_fock_patterns(modes, photons)  # collisions included
     patterns = tuple(map(tuple, occ.tolist()))
-    assert patterns == enumerate_fock_patterns(modes, photons)  # collisions included
     for pattern, amp in zip(patterns, amps):
         expected = fock_amplitude(u, pattern)
         assert abs(amp - expected) <= 1e-14 * abs(expected)
@@ -323,6 +343,21 @@ def test_batched_amplitudes_match_single_pattern_oracles(modes, photons, seed):
         naive = permanent_naive(u[:photons][:, cols]) / norm
         # the naive sum rounds differently; amplitudes of a unitary are at most 1
         assert abs(amp - naive) <= 1e-14
+
+
+def test_amplitude_table_rejects_negative_photons():
+    with pytest.raises(InvalidPatternError, match="photons must be >= 0"):
+        amplitude_table(haar_unitary(3, 0), -1)
+
+
+def test_click_probability_beyond_recursion_depth():
+    # 600 modes hold 600 one-photon patterns, inside the size guards; the
+    # pattern enumeration must not recurse once per mode
+    modes, t = 600, 0.1
+    clicks = (1,) + (0,) * (modes - 1)
+    expected = g_function(t, 1) * (1 - g_function(t, 0)) ** (modes - 1)
+    got = prob_dprcv(np.eye(modes), clicks, t, 1)
+    assert abs(got - expected) <= 1e-13 * expected
 
 
 def test_amplitude_table_guard_precedes_enumeration(monkeypatch):
@@ -402,7 +437,8 @@ def test_pattern_sums_match_fsum_reference(modes, photons, seed):
     clicks = tuple(int(m) for m in rng.integers(0, 2, modes))
     t = 0.3
 
-    amps = {p: fock_amplitude(u, p) for p in enumerate_fock_patterns(modes, photons)}
+    patterns = map(tuple, enumerate_fock_patterns(modes, photons).tolist())
+    amps = {p: fock_amplitude(u, p) for p in patterns}
 
     def close(got, expected):
         return abs(got - expected) <= 1e-14 * abs(expected)

@@ -100,7 +100,14 @@ class TestHaarUnitary:
 
 class TestPatternEnumeration:
     def test_two_modes_one_photon_order(self):
-        assert enumerate_fock_patterns(2, 1) == ((1, 0), (0, 1))
+        assert enumerate_fock_patterns(2, 1).tolist() == [[1, 0], [0, 1]]
+
+    def test_read_only_int_array_cached_per_size(self):
+        patterns = enumerate_fock_patterns(4, 2)
+        assert patterns.dtype == int and patterns.shape == (10, 4)
+        assert not patterns.flags.writeable
+        assert enumerate_fock_patterns(4, 2) is patterns
+        assert enumerate_fock_patterns(3, 0).tolist() == [[0, 0, 0]]
 
     def test_counts(self):
         assert len(enumerate_fock_patterns(3, 2)) == 6
@@ -108,17 +115,19 @@ class TestPatternEnumeration:
 
     def test_all_patterns_sum_to_photons(self):
         patterns = enumerate_fock_patterns(5, 3)
-        assert all(sum(p) == 3 for p in patterns)
-        assert len(set(patterns)) == len(patterns)
+        assert all(sum(p) == 3 for p in patterns.tolist())
+        assert len(set(map(tuple, patterns.tolist()))) == len(patterns)
 
     def test_order_puts_earlier_mode_occupation_first(self):
         patterns = enumerate_fock_patterns(3, 2)
-        assert patterns[0] == (2, 0, 0)
-        assert patterns[-1] == (0, 0, 2)
+        assert patterns[0].tolist() == [2, 0, 0]
+        assert patterns[-1].tolist() == [0, 0, 2]
         # the exact contraction folds rows sharing a prefix, so the whole order counts
-        for modes, photons in ((5, 3), (7, 4)):
-            patterns = enumerate_fock_patterns(modes, photons)
-            assert patterns == tuple(sorted(patterns, reverse=True))
+        for modes, photons in ((5, 3), (7, 4), (40, 3)):
+            patterns = enumerate_fock_patterns(modes, photons).tolist()
+            assert len(patterns) == math.comb(modes + photons - 1, photons)
+            assert patterns == sorted(patterns, reverse=True)
+            assert len(set(map(tuple, patterns))) == len(patterns)
 
     def test_cache_is_bounded(self):
         assert enumerate_fock_patterns.cache_info().maxsize is not None
@@ -166,7 +175,7 @@ class TestFockAmplitude:
     def test_matches_dense_state_oracle(self, modes, photons, seed):
         u = haar_unitary(modes, seed)
         dense = dense_state_amplitudes(u, photons)
-        for pattern in enumerate_fock_patterns(modes, photons):
+        for pattern in map(tuple, enumerate_fock_patterns(modes, photons).tolist()):
             assert fock_amplitude(u, pattern) == pytest.approx(
                 dense.get(pattern, 0j), abs=1e-10
             )

@@ -417,6 +417,21 @@ def test_non_integer_shots_rejected(shots):
         sample_fock(haar_unitary(3, 1), 2, shots, 0)
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize(
+    "sampler,args",
+    [
+        (sample_fock, (2, 10, 0)),
+        (sample_dprcv1, (2, 0.1, 10, 0)),
+        (sample_prcv1, (2, 10, 0)),
+        (sample_cv1, (1, 10, 0)),
+    ],
+)
+def test_threads_must_be_a_positive_integer(sampler, args, threads):
+    with pytest.raises(ValueError, match="threads must be a positive integer"):
+        sampler(haar_unitary(3, 1), *args, threads=threads)
+
+
 def test_outcomes_beyond_size_limit_fail_before_drawing(monkeypatch):
     monkeypatch.setitem(SIZE_LIMITS, "sample outcome values", 3 * 1000)
     u = haar_unitary(3, 1)
