@@ -19,11 +19,11 @@ import sys
 
 import numpy as np
 
-from .distribution import distribution_table
+from .distribution import click_rows, distribution_table
 from .errors import GuardLimitError, InvariantViolation, check_size
 from .estimate import build_estimate_report, deviation_sweep, estimate_perm_from_samples
 from .fock import check_unitary, haar_unitary
-from .io import _atomic_writer, fmt17, read_unitary_json, write_csv, write_unitary_json
+from .io import fmt17, read_unitary_json, write_csv, write_json, write_unitary_json
 from .povm import detector_curves
 from .sampler import sample_cv1, sample_dprcv1, sample_fock, sample_prcv1
 from .verify import run_checks
@@ -63,6 +63,22 @@ def _load_unitary(path):
     return check_unitary(u), meta
 
 
+def _csv_meta(args, u_meta=None, **fields):
+    """The metadata of every CSV header: the command; for a command that reads
+    a unitary file (its metadata `u_meta`) the file and the photon count; the
+    command's own `fields` in order, floats at 17 digits and None left out;
+    then the unitary file's seed as unitary_seed, when it records one."""
+    meta = {"command": args.command}
+    if u_meta is not None:
+        meta.update(unitary=args.unitary, photons=args.photons)
+    for key, value in fields.items():
+        if value is not None:
+            meta[key] = fmt17(value) if isinstance(value, float) else value
+    if u_meta and "seed" in u_meta:
+        meta["unitary_seed"] = u_meta["seed"]
+    return meta
+
+
 def _cmd_gen_unitary(args):
     seed = _default_seed(args.seed)
     u = haar_unitary(args.modes, seed)
@@ -77,15 +93,7 @@ def _cmd_gen_unitary(args):
 def _cmd_exact_dist(args):
     u, u_meta = _load_unitary(args.unitary)
     table = distribution_table(u, args.photons, args.t)
-    meta = {
-        "command": "exact-dist",
-        "unitary": args.unitary,
-        "photons": args.photons,
-        "t": fmt17(args.t),
-        "detector": "dprcv1",
-    }
-    if "seed" in u_meta:
-        meta["unitary_seed"] = u_meta["seed"]
+    meta = _csv_meta(args, u_meta, t=args.t, detector="dprcv1")
     if args.out:
         write_csv(args.out, ["pattern", "probability"], _table_lines(table, "\r\n"), meta)
     else:
@@ -96,12 +104,10 @@ def _cmd_exact_dist(args):
 def _table_lines(table, end):
     """`pattern,probability` lines ending in `end`, in blocks of 1024 rows."""
     probs = table.probabilities()
-    shifts = np.arange(table.modes - 1, -1, -1)
     for first in range(0, probs.size, 1024):
         block = probs[first : first + 1024]
-        index = np.arange(first, first + block.size)
-        digits = ((index[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
-        patterns = digits.view(f"S{table.modes}")[:, 0].astype(str)
+        digits = click_rows(np.arange(first, first + block.size), table.modes) + ord("0")
+        patterns = digits.astype(np.uint8).view(f"S{table.modes}")[:, 0].astype(str)
         yield _float_lines(f"%s,%.17g{end}", [patterns, block])
 
 
@@ -172,18 +178,7 @@ def _cmd_sample(args):
     else:
         sampler = {"fock": sample_fock, "prcv1": sample_prcv1, "cv1": sample_cv1}[args.detector]
         batch = sampler(u, args.photons, args.shots, seed, threads=args.threads)
-    meta = {
-        "command": "sample",
-        "unitary": args.unitary,
-        "photons": args.photons,
-        "detector": args.detector,
-        "shots": args.shots,
-        "seed": seed,
-    }
-    if args.t is not None:
-        meta["t"] = fmt17(args.t)
-    if "seed" in u_meta:
-        meta["unitary_seed"] = u_meta["seed"]
+    meta = _csv_meta(args, u_meta, detector=args.detector, shots=args.shots, seed=seed, t=args.t)
     write_csv(args.out, ["shot", "outcome"], _outcome_lines(batch), meta)
     return EXIT_OK
 
@@ -199,21 +194,12 @@ def _cmd_sweep_t(args):
     u, u_meta = _load_unitary(args.unitary)
     t_grid = np.geomspace(args.t_min, args.t_max, args.points)
     sweep = deviation_sweep(u, args.photons, t_grid)
-    meta = {
-        "command": "sweep-t",
-        "unitary": args.unitary,
-        "photons": args.photons,
-        "t_min": fmt17(args.t_min),
-        "t_max": fmt17(args.t_max),
-        "points": args.points,
-        "perm_sq_true": fmt17(sweep.perm_sq_true),
-        "degenerate": sweep.degenerate,
-    }
-    if not sweep.degenerate:
-        meta["linear_coeff"] = fmt17(sweep.linear_coeff)
-        meta["quadratic_bound"] = fmt17(sweep.quadratic_bound)
-    if "seed" in u_meta:
-        meta["unitary_seed"] = u_meta["seed"]
+    fit = (None, None) if sweep.degenerate else (sweep.linear_coeff, sweep.quadratic_bound)
+    meta = _csv_meta(
+        args, u_meta, t_min=args.t_min, t_max=args.t_max, points=args.points,
+        perm_sq_true=sweep.perm_sq_true, degenerate=sweep.degenerate,
+        linear_coeff=fit[0], quadratic_bound=fit[1],
+    )
     ratio = sweep.perm_sq_true + sweep.deviations
     if args.report:  # built first, so that bad report inputs leave no file behind
         t_work = float(t_grid[0])
@@ -233,9 +219,7 @@ def _cmd_sweep_t(args):
     lines = _float_lines("%.17g,%.17g,%.17g,%.17g\r\n", columns)
     write_csv(args.out, ["t", "p_exact", "p_over_tN", "delta"], [lines], meta)
     if args.report:
-        with _atomic_writer(args.report) as handle:
-            json.dump(dataclasses.asdict(report), handle, indent=1)
-            handle.write("\n")
+        write_json(args.report, dataclasses.asdict(report))
     return EXIT_OK
 
 
@@ -243,11 +227,7 @@ def _cmd_detector_curves(args):
     check_size("threshold points", args.points)
     grid = np.linspace(0.0, args.t_max, args.points)
     table = detector_curves(grid)
-    meta = {
-        "command": "detector-curves",
-        "t_max": fmt17(args.t_max),
-        "points": args.points,
-    }
+    meta = _csv_meta(args, t_max=args.t_max, points=args.points)
     lines = _float_lines("%.17g,%.17g,%.17g\r\n", table.T)
     write_csv(args.out, ["t", "eta", "p_dark"], [lines], meta)
     return EXIT_OK

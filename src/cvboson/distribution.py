@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPatternError, check_size, check_threshold
-from .fock import check_pattern, check_unitary, displacement_element, enumerate_fock_patterns
+from .fock import check_pattern, check_photons, check_unitary
+from .fock import displacement_element, enumerate_fock_patterns
 from .permanent import permanent_ryser_batch
 from .povm import prcv_povm_diag
 from .special import g_function
@@ -42,8 +43,7 @@ def amplitude_table(u, photons):
     """
     u = check_unitary(u)
     modes = u.shape[0]
-    if not 0 <= photons <= modes:
-        raise InvalidPatternError(f"photons must be >= 0 and <= M, got N={photons}, M={modes}")
+    check_photons(photons, modes)
     check_size("amplitude table patterns", math.comb(modes + photons - 1, photons))
     occ = enumerate_fock_patterns(modes, photons)
     # column indices of each submatrix: mode j repeated n_j times, ascending
@@ -124,7 +124,7 @@ def density_prcv(u, radii, photons):
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (modes,):
         raise ValueError(f"expected {modes} radii, got shape {radii.shape}")
-    if np.any(radii < 0):
+    if not np.all(radii >= 0):
         raise ValueError("radii must be non-negative")
     occ, amps = amplitude_table(u, photons)
     factors = np.array(
@@ -169,14 +169,26 @@ def prob_dprcv(u, clicks, t, photons):
     return float(probs[0]) if t_values.ndim == 0 else probs.reshape(t_values.shape)
 
 
+def click_rows(index, modes):
+    """The click table's layout: 0/1 int64 rows, one per table index, row i
+    holding the M binary digits of i with mode 0 the most significant."""
+    return (np.asarray(index, dtype=np.int64)[..., None] >> np.arange(modes - 1, -1, -1)) & 1
+
+
+def click_index(rows):
+    """Table index of each 0/1 click row (last axis, mode 0 first): the inverse
+    of click_rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ (1 << np.arange(rows.shape[-1] - 1, -1, -1))
+
+
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
     """Full click-pattern distribution at click threshold t.
 
-    probs[i] is the probability of the click pattern whose bits, mode 0
-    first, are the M binary digits of i; that is lexicographic pattern order.
-    The array is read-only. Tables compare by identity (an array field has no
-    single truth value).
+    probs[i] is the probability of the click pattern click_rows(i, M), so the
+    patterns are in lexicographic order. The array is read-only. Tables
+    compare by identity (an array field has no single truth value).
     """
 
     t: float
@@ -253,6 +265,7 @@ def prcv_cell_integral(u, clicks, t, photons):
     """
     from scipy import integrate
 
+    t = check_threshold(t)
     u = check_unitary(u)
     modes = u.shape[0]
     clicks = check_click_pattern(clicks, modes)

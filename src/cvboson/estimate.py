@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import prob_dprcv
-from .fock import check_unitary, fock_amplitude
+from .fock import check_photons, check_unitary, fock_amplitude
 
 DEGENERATE_PERM_SQ = 1e-12
 
@@ -63,7 +63,7 @@ def deviation_sweep(u, photons, t_list):
         raise ValueError("need at least 4 threshold points")
     if np.any(t_values <= 0) or np.any(t_values > 0.1):
         raise ValueError("thresholds must lie in (0, 0.1]")
-    pattern = _target_pattern(modes, photons)
+    pattern = _target_pattern(modes, check_photons(photons, modes))
     perm_sq = abs(fock_amplitude(u, pattern)) ** 2
     probs = prob_dprcv(u, pattern, t_values, photons)
     deviations = probs / t_values**photons - perm_sq
@@ -122,15 +122,14 @@ class BoundCheck:
     """Verdict of the multiplicative-bound chain on one set of numbers.
 
     applicable is False when |E|/L >= 1/2 (the chain's premise fails and no
-    conclusion is drawn). links records each inequality: the assumed input
-    bound, the absolute-value weakening, the lower-bound form, and the final
-    multiplicative bound with widened factor g_prime = (1 + 2|E|/L) g.
+    conclusion is drawn). passed is True when every inequality of the chain
+    holds: the assumed input bound, the absolute-value weakening, the
+    lower-bound form, and the final multiplicative bound with widened factor
+    g_prime = (1 + 2|E|/L) g.
     """
 
     applicable: bool
-    ratio: float
     g_prime: float | None
-    links: dict
     passed: bool
 
 
@@ -150,7 +149,7 @@ def mult_bound_check(perm_sq, error_term, lower_bound, g, p_tilde):
         raise ValueError(f"perm_sq {perm_sq} is below its lower bound {lower_bound}")
     ratio = abs(error_term) / lower_bound
     if ratio >= 0.5:
-        return BoundCheck(applicable=False, ratio=ratio, g_prime=None, links={}, passed=False)
+        return BoundCheck(applicable=False, g_prime=None, passed=False)
     abs_e = abs(error_term)
     links = {
         "input_bound": (perm_sq + error_term) / g < p_tilde < (perm_sq + error_term) * g,
@@ -161,13 +160,7 @@ def mult_bound_check(perm_sq, error_term, lower_bound, g, p_tilde):
         < perm_sq * (1 + 2 * ratio) * g,
     }
     g_prime = (1 + 2 * ratio) * g
-    return BoundCheck(
-        applicable=True,
-        ratio=ratio,
-        g_prime=g_prime,
-        links=links,
-        passed=all(links.values()),
-    )
+    return BoundCheck(applicable=True, g_prime=g_prime, passed=all(links.values()))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ def check_unitary(u):
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
         raise ValueError(f"expected a square matrix of size >= 1, got shape {u.shape}")
     defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # so a NaN entry fails too
         raise ValueError(
             f"matrix is not unitary: max |U+U - I| = {defect:.3e} > {UNITARITY_TOL:.0e}"
         )
@@ -52,7 +52,7 @@ def haar_unitary(modes, seed):
                 v -= q[:, :j] @ (q[:, :j].conj().T @ v)
         q[:, j] = v / np.linalg.norm(v)
     defect = np.abs(q.conj().T @ q - np.eye(modes)).max()
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:
         raise InvariantViolation(f"orthonormalization defect {defect:.3e} exceeds {UNITARITY_TOL:.0e}")
     return q
 
@@ -65,6 +65,13 @@ def check_pattern(pattern, modes):
     if len(pattern) != modes:
         raise InvalidPatternError(f"pattern has {len(pattern)} modes, expected {modes}")
     return pattern
+
+
+def check_photons(photons, modes):
+    """Validate a photon count for `modes` modes, 0 <= N <= M; return it."""
+    if not 0 <= photons <= modes:
+        raise InvalidPatternError(f"photons must be >= 0 and <= M, got N={photons}, M={modes}")
+    return photons
 
 
 @functools.lru_cache(maxsize=256)

@@ -58,6 +58,11 @@ def write_unitary_json(path, u, meta=None):
         for key, value in meta.items():
             if key not in payload:
                 payload[key] = value
+    write_json(path, payload)
+
+
+def write_json(path, payload):
+    """Write `payload` as JSON, indented by one space, with a trailing newline."""
     with _atomic_writer(path) as handle:
         json.dump(payload, handle, indent=1)
         handle.write("\n")

@@ -35,7 +35,7 @@ def prcv_povm_diag(ancilla_n, big_r, k):
     if ancilla_n < 0 or k < 0:
         raise ValueError("Fock indices must be non-negative")
     big_r = np.asarray(big_r, dtype=float)
-    if np.any(big_r < 0):
+    if not np.all(big_r >= 0):  # so a NaN R fails too
         raise ValueError("R must be non-negative")
     lo, hi = min(ancilla_n, k), max(ancilla_n, k)
     d = hi - lo

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distribution import amplitude_table, distribution_table
+from .distribution import amplitude_table, click_rows, distribution_table
 from .errors import check_size, check_threshold
 from .fock import check_unitary
 from .povm import prcv_povm_diag
@@ -124,19 +124,15 @@ def sample_fock(u, photons, shots, seed, threads=1):
 def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     """I.i.d. click patterns from the exact 2^M discretized-detector table.
 
-    A drawn table index is decoded to its click bits directly (mode 0 is the
-    most significant bit). Guarded by the click-table size limits.
+    A drawn table index is decoded to its click row by click_rows. Guarded by
+    the click-table size limits.
     """
     _check_counts(shots, threads)
     t = check_threshold(t)
     table = distribution_table(u, photons, t)
-    shifts = np.arange(table.modes - 1, -1, -1)
-
-    def respond(index, _):
-        return (index[:, None] >> shifts) & 1
-
-    weights = table.probabilities()
-    return _draw("dprcv1", weights, 1, respond, shots, seed, threads, table.modes, t=t)
+    modes = table.modes
+    respond = lambda index, _: click_rows(index, modes)  # noqa: E731
+    return _draw("dprcv1", table.probabilities(), 1, respond, shots, seed, threads, modes, t=t)
 
 
 # Radius starts come from G on this fixed grid, dense at small R; G(64, k)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (
+    click_index,
     density_cv,
     distribution_table,
     leading_order,
@@ -267,17 +268,12 @@ def _check_sampler_tv(full):
     return tv <= 0.01, f"TV = {tv:.4f} at 100000 shots"
 
 
-def _click_counts(clicks, size):
-    """Count of each 0/1 click row by its table index (mode 0 is the high-order bit)."""
-    index = clicks @ (1 << np.arange(clicks.shape[1] - 1, -1, -1))
-    return np.bincount(index, minlength=size)
-
-
 def _check_dprcv1_tv(full):
     modes, photons = (6, 3) if full else (4, 2)
     u = haar_unitary(modes, 500)
     probs = distribution_table(u, photons, 0.3).probabilities()
-    counts = _click_counts(sample_dprcv1(u, photons, 0.3, 100_000, 502).outcomes, probs.size)
+    clicks = sample_dprcv1(u, photons, 0.3, 100_000, 502).outcomes
+    counts = np.bincount(click_index(clicks), minlength=probs.size)
     tv = 0.5 * np.abs(counts / 100_000 - probs).sum()
     return tv <= 0.01, f"TV = {tv:.4f} at 100000 shots"
 
@@ -296,9 +292,9 @@ def _check_coarse_graining(full):
     t = 0.4
     shots = 30_000 if full else 10_000
     radial = sample_prcv1(u, 1, shots, 37)
-    clicks = (radial.outcomes <= t).astype(int)
     probs = distribution_table(u, 1, t).probabilities()
-    p_value = _chi_square_p(_click_counts(clicks, probs.size), probs * shots)
+    counts = np.bincount(click_index(radial.outcomes <= t), minlength=probs.size)
+    p_value = _chi_square_p(counts, probs * shots)
     return p_value > 0.001, f"chi-square p = {p_value:.4f}"
 
 

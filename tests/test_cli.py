@@ -627,14 +627,80 @@ def test_unitary_beyond_mode_limit_is_guard_violation(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_output_files_honour_the_umask(umask, mode, tmp_path):
     upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    sweep, report = tmp_path / "sweep.csv", tmp_path / "r.json"
     previous = os.umask(umask)
     try:
         assert main(["gen-unitary", "--modes", "2", "--seed", "5", "--out", str(upath)]) == 0
         assert main(["sample", "--unitary", str(upath), "--photons", "1", "--detector", "fock",
                      "--shots", "3", "--seed", "1", "--out", str(out)]) == 0
+        assert main(["sweep-t", "--unitary", str(upath), "--photons", "1", "--out", str(sweep),
+                     "--report", str(report)]) == 0
     finally:
         os.umask(previous)
-    assert [path.stat().st_mode & 0o777 for path in (upath, out)] == [mode, mode]
+    paths = (upath, out, sweep, report)
+    assert [path.stat().st_mode & 0o777 for path in paths] == [mode] * 4
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["exact-dist", "--photons", "1", "--t", "0.1"],
+        ["sample", "--photons", "1", "--detector", "dprcv1", "--t", "0.1", "--shots", "5",
+         "--seed", "1"],
+        ["sample", "--photons", "1", "--detector", "fock", "--shots", "5", "--seed", "1"],
+        ["sweep-t", "--photons", "1", "--report", "r.json"],
+    ],
+    ids=["exact-dist", "sample-dprcv1", "sample-fock", "sweep-t"],
+)
+def test_nan_unitary_is_usage_error(flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # json writes and reads the bare token NaN, so a unitary file can hold it
+    nan_row = [float("nan"), 0.0]
+    (tmp_path / "u.json").write_text(json.dumps({"modes": 2, "re": [nan_row, [0.0, 1.0]],
+                                                 "im": [[0.0, 0.0], [0.0, 0.0]], "seed": 1}))
+    assert main(flags[:1] + ["--unitary", "u.json", "--out", "out.csv"] + flags[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix is not unitary") and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("photons", ["-1", "5"])
+def test_sweep_photons_outside_zero_to_modes_is_usage_error(photons, tmp_path, capsys):
+    upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    write_unitary_json(upath, haar_unitary(4, 5))
+    argv = ["sweep-t", "--unitary", str(upath), "--photons", photons, "--out", str(out)]
+    assert main(argv) == 1
+    assert "error: photons must be >= 0 and <= M, got N=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["detector-curves", "--points", "3"], ["command", "t_max", "points", "version"]),
+        (["exact-dist", "--unitary", "plain.json", "--photons", "1", "--t", "0.1"],
+         ["command", "unitary", "photons", "t", "detector", "version"]),
+        (["sample", "--unitary", "seeded.json", "--photons", "1", "--detector", "prcv1",
+          "--shots", "2", "--seed", "4"],
+         ["command", "unitary", "photons", "detector", "shots", "seed", "unitary_seed",
+          "version"]),
+        (["sweep-t", "--unitary", "splitter.json", "--photons", "2"],
+         ["command", "unitary", "photons", "t_min", "t_max", "points", "perm_sq_true",
+          "degenerate", "version"]),
+    ],
+    ids=["detector-curves", "unseeded-unitary", "sample-without-t", "degenerate-sweep"],
+)
+def test_csv_header_keys_in_order(argv, keys, tmp_path, monkeypatch):
+    # the goldens pin the headers of the seeded, non-degenerate runs
+    monkeypatch.chdir(tmp_path)
+    write_unitary_json("plain.json", haar_unitary(2, 5))
+    write_unitary_json("seeded.json", haar_unitary(2, 5), meta={"seed": 5})
+    write_unitary_json("splitter.json", _BEAM_SPLITTER)
+    assert main(argv + ["--out", "out.csv"]) == 0
+    meta, _, _ = _read_csv(tmp_path / "out.csv")
+    assert list(meta) == keys
+    if "degenerate" in meta:
+        assert meta["degenerate"] == "True"
 
 
 def test_import_leaves_scipy_unloaded():

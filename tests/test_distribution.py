@@ -19,6 +19,8 @@ from cvboson import distribution
 from cvboson.distribution import (
     DistributionTable,
     amplitude_table,
+    click_index,
+    click_rows,
     density_cv,
     density_prcv,
     distribution_table,
@@ -124,6 +126,10 @@ class TestDensityPrcv:
         perm_sq = abs(fock_amplitude(u, (1, 1, 0, 0))) ** 2
         tail = math.prod(math.exp(-r) * r for r in radii[2:])
         assert density_prcv(u, radii, 2) == pytest.approx(perm_sq * tail, rel=1e-10)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValueError, match="radii must be non-negative"):
+            density_prcv(haar_unitary(2, 6), [0.5, math.nan], 1)
 
     def test_two_mode_normalization_by_2d_quadrature(self):
         u = haar_unitary(2, 6)
@@ -237,6 +243,17 @@ class TestDistributionTable:
             prob_dprcv(u, (1, 0, 0), np.array([0.1, t]), 1)
 
 
+@pytest.mark.parametrize("modes", [1, 5, 12])
+def test_click_row_codec_round_trips_every_index(modes):
+    index = np.arange(2**modes)
+    rows = click_rows(index, modes)
+    assert rows.dtype == np.int64 and rows.shape == (2**modes, modes)
+    expected = [format(i, f"0{modes}b") for i in range(2**modes)]
+    assert ["".join(map(str, row)) for row in rows.tolist()] == expected
+    np.testing.assert_array_equal(click_index(rows), index)
+    assert click_index(rows > 0).tolist() == index.tolist()  # boolean rows too
+
+
 class TestCellIntegralConsistency:
     @pytest.mark.parametrize(
         "modes,photons,clicks,seed",
@@ -248,6 +265,12 @@ class TestCellIntegralConsistency:
         direct = prob_dprcv(u, clicks, t, photons)
         by_quadrature = prcv_cell_integral(u, clicks, t, photons)
         assert by_quadrature == pytest.approx(direct, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [math.nan, 0.0, math.inf, -0.5])
+    def test_threshold_checked_first(self, t):
+        # NaN and 0 gave 0.0, inf gave 1.0, and -0.5 failed on the radius check
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            prcv_cell_integral(haar_unitary(2, 4), (1, 0), t, 1)
 
     def test_full_2d_quadrature_single_case(self):
         u = haar_unitary(2, 11)

@@ -17,6 +17,7 @@ from cvboson.estimate import (
     mult_bound_check,
     t_from_bits,
 )
+from cvboson.errors import InvalidPatternError
 from cvboson.fock import fock_amplitude, haar_unitary
 from cvboson.sampler import sample_dprcv1, sample_fock
 
@@ -81,6 +82,12 @@ class TestDeviationSweep:
             deviation_sweep(np.eye(1), 1, [1e-3, 2e-3, 3e-3])  # too few
         with pytest.raises(ValueError):
             deviation_sweep(np.eye(1), 1, [0.2, 0.3, 0.4, 0.5])  # out of range
+
+    @pytest.mark.parametrize("photons", [-1, 5])
+    def test_photon_count_checked_before_the_target_pattern(self, photons):
+        grid = np.geomspace(1e-4, 1e-2, 5)
+        with pytest.raises(InvalidPatternError, match="photons must be >= 0 and <= M"):
+            deviation_sweep(haar_unitary(4, 5), photons, grid)
 
 
 class TestFrequencyEstimator:

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cvboson.errors import InvalidPatternError
+from cvboson import fock
+from cvboson.errors import InvalidPatternError, InvariantViolation
 from cvboson.fock import (
+    check_photons,
     check_unitary,
     displacement_element,
     enumerate_fock_patterns,
@@ -96,6 +98,26 @@ class TestHaarUnitary:
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError):
             haar_unitary(0, 1)
+
+    def test_nan_draw_fails_the_defect_check(self, monkeypatch):
+        nan_matrix = lambda seed, rows, cols: np.full((rows, cols), np.nan + 0j)  # noqa: E731
+        monkeypatch.setattr(fock, "gaussian_matrix", nan_matrix)
+        with np.errstate(invalid="ignore"), pytest.raises(InvariantViolation, match="defect nan"):
+            haar_unitary(3, 1)
+
+
+def test_check_unitary_rejects_nan_entries():
+    u = np.eye(2, dtype=complex)
+    u[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(u)
+
+
+@pytest.mark.parametrize("photons", [-1, 5])
+def test_check_photons_rejects_counts_outside_zero_to_modes(photons):
+    with pytest.raises(InvalidPatternError, match="photons must be >= 0 and <= M"):
+        check_photons(photons, 4)
+    assert [check_photons(n, 4) for n in range(5)] == [0, 1, 2, 3, 4]
 
 
 class TestPatternEnumeration:
