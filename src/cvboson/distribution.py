@@ -117,15 +117,16 @@ def density_prcv(u, radii, photons):
 
     P(R) = sum_n |amp(n)|^2 prod_j e^{-R_j} R_j^{n_j-1} (n_j - R_j)^2 / n_j!,
     i.e. the pattern-weighted product of the Fock-diagonal detector
-    densities. Integrates to one over R in [0, inf)^M.
+    densities. Integrates to one over R in [0, inf)^M; a negative, NaN or
+    infinite radius raises ValueError.
     """
     u = check_unitary(u)
     modes = u.shape[0]
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (modes,):
         raise ValueError(f"expected {modes} radii, got shape {radii.shape}")
-    if not np.all(radii >= 0):
-        raise ValueError("radii must be non-negative")
+    if not np.all((radii >= 0) & (radii < np.inf)):
+        raise ValueError("radii must be non-negative and finite")
     occ, amps = amplitude_table(u, photons)
     factors = np.array(
         [[prcv_povm_diag(1, r, v) for v in range(photons + 1)] for r in radii]
@@ -156,9 +157,16 @@ def prob_dprcv(u, clicks, t, photons):
     for x in t_values.flat:
         check_threshold(x)
     u = check_unitary(u)
-    modes = u.shape[0]
-    clicks = check_click_pattern(clicks, modes)
+    clicks = check_click_pattern(clicks, u.shape[0])
     occ, amps = amplitude_table(u, photons)
+    probs = _click_probabilities(occ, amps, clicks, t_values)
+    return float(probs) if t_values.ndim == 0 else probs
+
+
+def _click_probabilities(occ, amps, clicks, t_values):
+    """prob_dprcv of validated clicks at validated thresholds, from the
+    amplitude table (occ, amps): an array of t_values' shape."""
+    photons = int(occ[0].sum())  # every pattern holds all N photons
     weights = np.abs(amps) ** 2
     click_factors = _click_factors(t_values.ravel(), photons)[:, list(clicks), None]
     probs = np.empty(t_values.size)
@@ -166,7 +174,7 @@ def prob_dprcv(u, clicks, t, photons):
     for first in range(0, t_values.size, stack):
         block = click_factors[first : first + stack]
         probs[first : first + stack] = _contract(weights, occ, block)[:, 0]
-    return float(probs[0]) if t_values.ndim == 0 else probs.reshape(t_values.shape)
+    return probs.reshape(t_values.shape)
 
 
 def click_rows(index, modes):
@@ -240,7 +248,7 @@ def leading_order(u, clicks, t):
     # clicked columns of the pattern, then of each swap of click i and non-click j
     cols = np.array([ones] + [sorted(set(ones) - {i} | {j}) for i in ones for j in zeros], int)
     perms = permanent_ryser_batch(u[: len(ones)][:, cols].transpose(1, 0, 2)).tolist()
-    # Python abs and a left-to-right sum keep the scalar fock_amplitude loop's bits
+    # Python abs and a left-to-right sum keep the bits of a fock_amplitude loop
     leading = abs(perms[0]) ** 2 * t ** len(ones)
     neighbor_mass = 0.0
     for perm in perms[1:]:

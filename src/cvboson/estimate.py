@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import prob_dprcv
-from .fock import check_photons, check_unitary, fock_amplitude
+from .distribution import _click_probabilities, amplitude_table
+from .fock import check_photons, check_unitary
 
 DEGENERATE_PERM_SQ = 1e-12
 
@@ -25,10 +25,11 @@ def t_from_bits(bits_b):
     The outcomes in [0, 2] are split into 2^b - 1 equal cells (the top code
     collects everything above 2) and the click region is the lowest cell.
     Note b = 1 gives t = 2 by this formula; the word-size scaling O(2^-b)
-    is what matters downstream.
+    is what matters downstream. b = 1023 gives the smallest normal float; a
+    larger b has no float threshold and raises ValueError.
     """
-    if bits_b < 1 or bits_b != int(bits_b):
-        raise ValueError(f"word size must be a positive integer, got {bits_b}")
+    if not 1 <= bits_b <= 1023 or bits_b != int(bits_b):
+        raise ValueError(f"word size must be an integer in [1, 1023], got {bits_b}")
     return 2.0 / (2 ** int(bits_b) - 1)
 
 
@@ -55,17 +56,24 @@ class SweepFit:
 
 
 def deviation_sweep(u, photons, t_list):
-    """Exact small-threshold sweep of the first-N-clicks probability."""
+    """Exact small-threshold sweep of the first-N-clicks probability.
+
+    One amplitude table gives both the squared permanent of the target
+    pattern (its table row) and prob_dprcv at every threshold.
+    """
     u = check_unitary(u)
     modes = u.shape[0]
     t_values = np.asarray(t_list, dtype=float)
     if t_values.size < 4:
         raise ValueError("need at least 4 threshold points")
-    if np.any(t_values <= 0) or np.any(t_values > 0.1):
+    if not np.all((t_values > 0) & (t_values <= 0.1)):  # so a NaN fails too
         raise ValueError("thresholds must lie in (0, 0.1]")
     pattern = _target_pattern(modes, check_photons(photons, modes))
-    perm_sq = abs(fock_amplitude(u, pattern)) ** 2
-    probs = prob_dprcv(u, pattern, t_values, photons)
+    occ, amps = amplitude_table(u, photons)
+    row = np.flatnonzero((occ == pattern).all(axis=1))[0]
+    # Python abs keeps fock_amplitude's bits (np.abs differs in the last bit)
+    perm_sq = abs(complex(amps[row])) ** 2
+    probs = _click_probabilities(occ, amps, pattern, t_values)
     deviations = probs / t_values**photons - perm_sq
 
     if perm_sq < DEGENERATE_PERM_SQ:
@@ -107,6 +115,7 @@ def estimate_perm_from_samples(batch, t, photons):
     shots = batch.shots
     if shots == 0:
         raise ValueError("batch has no shots")
+    check_photons(photons, batch.modes)
     target = np.asarray(_target_pattern(batch.modes, photons))
     hits = sum(int((rows == target).all(axis=1).sum()) for _, rows in batch.blocks())
     scale = t**photons

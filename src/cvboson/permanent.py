@@ -1,13 +1,12 @@
-"""Exact matrix permanents: Gray-code Ryser engines and a naive oracle.
+"""Exact matrix permanents: one Gray-code Ryser engine and a naive oracle.
 
 The permanent is the determinant without sign alternation,
-Per(A) = sum_sigma prod_i A[i, sigma(i)]. The naive sum over permutations is
-kept as an independent cross-check for the Ryser implementations: a scalar
-one for single matrices and a batched one for stacks of equal-size matrices.
+Per(A) = sum_sigma prod_i A[i, sigma(i)]. The Ryser engine runs on stacks of
+equal-size matrices; a single matrix is a stack of one. The naive sum over
+permutations is kept as an independent cross-check for it.
 """
 
 import itertools
-import math
 
 import numpy as np
 
@@ -49,51 +48,21 @@ def permanent_naive(a):
 
 
 def permanent_ryser(a):
-    """Permanent by Ryser's inclusion-exclusion formula (O(2^n n)).
-
-    Column subsets are visited in Gray-code order, so the row sums change by
-    one column per subset. Terms are accumulated with Kahan compensation
-    because the 2^n-term sum cancels heavily for near-singular-permanent
-    matrices.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    check_size("Ryser permanent dimension", n)
-    if n == 0:
-        return 1 + 0j
-
-    cols = [list(a[:, j]) for j in range(n)]
-    total = 0j
-    comp = 0j
-    row_sums = [0j] * n
-    gray = 0
-    for k in range(1, 1 << n):
-        flip = (k & -k).bit_length() - 1
-        gray ^= 1 << flip
-        col = cols[flip]
-        if gray & (1 << flip):
-            for i in range(n):
-                row_sums[i] += col[i]
-        else:
-            for i in range(n):
-                row_sums[i] -= col[i]
-        sign = -1.0 if (gray.bit_count() & 1) else 1.0
-        y = sign * math.prod(row_sums) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-
-    return total * (-1.0 if n & 1 else 1.0)
+    """Permanent of one square matrix: permanent_ryser_batch on a stack of one."""
+    return complex(permanent_ryser_batch(_as_square(a)[None])[0])
 
 
 def permanent_ryser_batch(a):
     """Permanents of a stack of n x n matrices, shape (P, n, n) -> (P,).
 
-    The same Gray-code Ryser sum with Kahan compensation as permanent_ryser,
-    run as 2^n - 1 vector steps over the whole stack. Real and imaginary
-    parts are carried separately and every step repeats the scalar engine's
-    floating-point operations in the same order, so each result equals
-    permanent_ryser of that matrix bit for bit.
+    Ryser's inclusion-exclusion formula (O(2^n n)), run as 2^n - 1 vector
+    steps over the whole stack. Column subsets are visited in Gray-code order,
+    so the row sums change by one column per step. Terms are accumulated with
+    Kahan compensation because the 2^n-term sum cancels heavily for
+    near-singular-permanent matrices. Real and imaginary parts are carried
+    separately and every operation is elementwise across the stack, so each
+    result depends only on its own matrix: a stack of one gives the same bits
+    as that matrix's entry in any stack.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:

@@ -30,13 +30,13 @@ def prcv_povm_diag(ancilla_n, big_r, k):
     symmetric form min! / max! e^{-R} R^{|k-n|} (L_min^{|k-n|}(R))^2 so that
     k < n costs no negative powers of R and R = 0 is exact. For the ancilla-1
     detector this is e^{-R} R^{k-1} (k - R)^2 / k!.
-    Accepts scalar or ndarray R.
+    Accepts scalar or ndarray R; a negative, NaN or infinite R raises ValueError.
     """
     if ancilla_n < 0 or k < 0:
         raise ValueError("Fock indices must be non-negative")
     big_r = np.asarray(big_r, dtype=float)
-    if not np.all(big_r >= 0):  # so a NaN R fails too
-        raise ValueError("R must be non-negative")
+    if not np.all((big_r >= 0) & (big_r < np.inf)):  # so a NaN R fails too
+        raise ValueError("R must be non-negative and finite")
     lo, hi = min(ancilla_n, k), max(ancilla_n, k)
     d = hi - lo
     ratio = math.factorial(lo) / math.factorial(hi)

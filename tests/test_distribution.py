@@ -128,8 +128,9 @@ class TestDensityPrcv:
         assert density_prcv(u, radii, 2) == pytest.approx(perm_sq * tail, rel=1e-10)
 
     def test_nan_radius_rejected(self):
-        with pytest.raises(ValueError, match="radii must be non-negative"):
-            density_prcv(haar_unitary(2, 6), [0.5, math.nan], 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="radii must be non-negative"):
+                density_prcv(haar_unitary(2, 6), [0.5, bad], 1)
 
     def test_two_mode_normalization_by_2d_quadrature(self):
         u = haar_unitary(2, 6)

@@ -1,9 +1,11 @@
 """Tests for threshold discretization, deviation sweeps, the frequency
 estimator, and the multiplicative-bound chain."""
 
+import collections
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +36,15 @@ class TestThresholdFromBits:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             t_from_bits(0)
+
+    def test_largest_word_size_gives_smallest_normal_float(self):
+        assert t_from_bits(1023) == 2.2250738585072014e-308 == sys.float_info.min
+
+    @pytest.mark.parametrize("bits", [1024, 10**12])
+    def test_rejects_word_sizes_without_a_float_threshold(self, bits):
+        # checked before 2^b is built, so a huge b costs nothing
+        with pytest.raises(ValueError, match=r"integer in \[1, 1023\]"):
+            t_from_bits(bits)
 
 
 class TestDeviationSweep:
@@ -82,12 +93,39 @@ class TestDeviationSweep:
             deviation_sweep(np.eye(1), 1, [1e-3, 2e-3, 3e-3])  # too few
         with pytest.raises(ValueError):
             deviation_sweep(np.eye(1), 1, [0.2, 0.3, 0.4, 0.5])  # out of range
+        with pytest.raises(ValueError, match="thresholds must lie in"):
+            deviation_sweep(np.eye(1), 1, [1e-3, 2e-3, math.nan, 4e-3])
 
     @pytest.mark.parametrize("photons", [-1, 5])
     def test_photon_count_checked_before_the_target_pattern(self, photons):
         grid = np.geomspace(1e-4, 1e-2, 5)
         with pytest.raises(InvalidPatternError, match="photons must be >= 0 and <= M"):
             deviation_sweep(haar_unitary(4, 5), photons, grid)
+
+    def test_one_amplitude_table_and_no_single_permanent(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "cvboson"]
+        for name in ("amplitude_table", "fock_amplitude", "permanent_ryser"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        u, grid = haar_unitary(5, 3), np.geomspace(1e-4, 1e-2, 6)
+        sweep = deviation_sweep(u, 3, grid)
+        assert calls == {"amplitude_table": 1}
+        monkeypatch.undo()
+        # the table row and the shared evaluator keep the separate calls' bits
+        perm_sq = abs(fock_amplitude(u, (1, 1, 1, 0, 0))) ** 2
+        assert sweep.perm_sq_true == perm_sq
+        expected = prob_dprcv(u, (1, 1, 1, 0, 0), grid, 3) / grid**3 - perm_sq
+        assert sweep.deviations.tolist() == expected.tolist()
 
 
 class TestFrequencyEstimator:
@@ -145,6 +183,12 @@ class TestFrequencyEstimator:
         batch = sample_dprcv1(haar_unitary(3, 1), 2, 0.1, 0, 1)
         with pytest.raises(ValueError, match="no shots"):
             estimate_perm_from_samples(batch, 0.1, 2)
+
+    @pytest.mark.parametrize("photons", [-1, 5])
+    def test_photon_count_checked_before_the_target_pattern(self, photons):
+        batch = sample_dprcv1(haar_unitary(4, 5), 2, 0.1, 100, 1)
+        with pytest.raises(InvalidPatternError, match="photons must be >= 0 and <= M"):
+            estimate_perm_from_samples(batch, 0.1, photons)
 
 
 class TestBoundChain:

@@ -236,7 +236,7 @@ class TestPrcvDiag:
         for k in range(6):
             assert prcv_povm_diag(1, 0.0, k) == (1.0 if k == 1 else 0.0)
 
-    @pytest.mark.parametrize("big_r", [math.nan, -0.5, np.array([0.2, math.nan])])
+    @pytest.mark.parametrize("big_r", [math.nan, -0.5, np.array([0.2, math.nan]), math.inf])
     def test_rejects_nan_or_negative_radius(self, big_r):
         with pytest.raises(ValueError, match="R must be non-negative"):
             prcv_povm_diag(1, big_r, 2)
