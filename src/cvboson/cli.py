@@ -22,7 +22,7 @@ import numpy as np
 from .distribution import click_rows, distribution_table
 from .errors import GuardLimitError, InvariantViolation, check_size
 from .estimate import build_estimate_report, deviation_sweep, estimate_perm_from_samples
-from .fock import check_unitary, haar_unitary
+from .fock import haar_unitary
 from .io import fmt17, read_unitary_json, write_csv, write_json, write_unitary_json
 from .povm import detector_curves
 from .sampler import sample_cv1, sample_dprcv1, sample_fock, sample_prcv1
@@ -58,11 +58,6 @@ def _default_seed(value):
         raise UsageError(f"CVBOSON_SEED must be an integer, got {env!r}") from exc
 
 
-def _load_unitary(path):
-    u, meta = read_unitary_json(path)
-    return check_unitary(u), meta
-
-
 def _csv_meta(args, u_meta=None, **fields):
     """The metadata of every CSV header: the command; for a command that reads
     a unitary file (its metadata `u_meta`) the file and the photon count; the
@@ -91,7 +86,7 @@ def _cmd_gen_unitary(args):
 
 
 def _cmd_exact_dist(args):
-    u, u_meta = _load_unitary(args.unitary)
+    u, u_meta = read_unitary_json(args.unitary)
     table = distribution_table(u, args.photons, args.t)
     meta = _csv_meta(args, u_meta, t=args.t, detector="dprcv1")
     if args.out:
@@ -171,7 +166,7 @@ def _cmd_sample(args):
     if (args.detector == "dprcv1") == (args.t is None):
         rule = "required for" if args.t is None else f"not read by {args.detector}, only by"
         raise UsageError(f"--t is {rule} the dprcv1 detector")
-    u, u_meta = _load_unitary(args.unitary)
+    u, u_meta = read_unitary_json(args.unitary)
     seed = _default_seed(args.seed)
     if args.detector == "dprcv1":
         batch = sample_dprcv1(u, args.photons, args.t, args.shots, seed, threads=args.threads)
@@ -191,7 +186,7 @@ def _cmd_sweep_t(args):
     if args.seed is not None and not args.shots:
         raise UsageError("--seed is only read with a nonzero --shots")
     check_size("threshold points", args.points)
-    u, u_meta = _load_unitary(args.unitary)
+    u, u_meta = read_unitary_json(args.unitary)
     t_grid = np.geomspace(args.t_min, args.t_max, args.points)
     sweep = deviation_sweep(u, args.photons, t_grid)
     fit = (None, None) if sweep.degenerate else (sweep.linear_coeff, sweep.quadratic_bound)
@@ -206,7 +201,7 @@ def _cmd_sweep_t(args):
         if args.shots:
             seed = _default_seed(args.seed)
             batch = sample_dprcv1(u, args.photons, t_work, args.shots, seed)
-            p_tilde = estimate_perm_from_samples(batch, t_work, args.photons).value
+            p_tilde = estimate_perm_from_samples(batch, args.photons).value
         else:
             p_tilde = float(ratio[0])  # exact ratio at the working threshold
         g = {} if args.g is None else {"g": args.g}  # else the report's default factor
@@ -225,7 +220,8 @@ def _cmd_sweep_t(args):
 
 def _cmd_detector_curves(args):
     check_size("threshold points", args.points)
-    grid = np.linspace(0.0, args.t_max, args.points)
+    with np.errstate(invalid="ignore"):  # --t-max inf: 0 * inf; detector_curves rejects NaN
+        grid = np.linspace(0.0, args.t_max, args.points)
     table = detector_curves(grid)
     meta = _csv_meta(args, t_max=args.t_max, points=args.points)
     lines = _float_lines("%.17g,%.17g,%.17g\r\n", table.T)

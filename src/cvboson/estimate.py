@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import _click_probabilities, amplitude_table
-from .fock import check_photons, check_unitary
+from .fock import check_photons
 
 DEGENERATE_PERM_SQ = 1e-12
 
@@ -59,22 +59,27 @@ def deviation_sweep(u, photons, t_list):
     """Exact small-threshold sweep of the first-N-clicks probability.
 
     One amplitude table gives both the squared permanent of the target
-    pattern (its table row) and prob_dprcv at every threshold.
+    pattern (its table row) and prob_dprcv at every threshold. A threshold at
+    which t^N or that probability is not a normal double raises ValueError.
     """
-    u = check_unitary(u)
-    modes = u.shape[0]
     t_values = np.asarray(t_list, dtype=float)
     if t_values.size < 4:
         raise ValueError("need at least 4 threshold points")
     if not np.all((t_values > 0) & (t_values <= 0.1)):  # so a NaN fails too
         raise ValueError("thresholds must lie in (0, 0.1]")
-    pattern = _target_pattern(modes, check_photons(photons, modes))
     occ, amps = amplitude_table(u, photons)
+    pattern = _target_pattern(occ.shape[1], photons)
     row = np.flatnonzero((occ == pattern).all(axis=1))[0]
     # Python abs keeps fock_amplitude's bits (np.abs differs in the last bit)
     perm_sq = abs(complex(amps[row])) ** 2
     probs = _click_probabilities(occ, amps, pattern, t_values)
-    deviations = probs / t_values**photons - perm_sq
+    t_power = t_values**photons
+    for name, values in ((f"t^{photons}", t_power), (f"P(first {photons} clicks)", probs)):
+        i = np.argmin(values)
+        if values[i] < np.finfo(float).tiny:
+            raise ValueError(f"threshold t = {t_values[i]:.3g} is too small: {name} = "
+                             f"{values[i]:.3g} is below the smallest normal double")
+    deviations = probs / t_power - perm_sq
 
     if perm_sq < DEGENERATE_PERM_SQ:
         nan = float("nan")
@@ -101,24 +106,22 @@ class PermanentEstimate:
     one_sided_upper: float | None = None
 
 
-def estimate_perm_from_samples(batch, t, photons):
+def estimate_perm_from_samples(batch, photons):
     """Estimate |Per|^2 as (empirical frequency of the first-N-clicks pattern) / t^N.
 
-    The batch must come from the discretized sampler at the same threshold.
-    With zero observed events the estimate is 0 with a one-sided 95% upper
-    bound (rule of three); a batch with no shots is rejected.
+    The batch must come from the discretized sampler; t is its threshold
+    batch.t. With zero observed events the estimate is 0 with a one-sided 95%
+    upper bound (rule of three); a batch with no shots is rejected.
     """
     if batch.kind != "dprcv1":
         raise ValueError(f"expected a dprcv1 batch, got {batch.kind!r}")
-    if not math.isclose(batch.t, t, rel_tol=1e-12):
-        raise ValueError("batch threshold does not match t")
     shots = batch.shots
     if shots == 0:
         raise ValueError("batch has no shots")
     check_photons(photons, batch.modes)
     target = np.asarray(_target_pattern(batch.modes, photons))
     hits = sum(int((rows == target).all(axis=1).sum()) for _, rows in batch.blocks())
-    scale = t**photons
+    scale = batch.t**photons
     freq = hits / shots
     if hits == 0:
         return PermanentEstimate(0.0, 0.0, 0, shots, one_sided_upper=3.0 / shots / scale)
@@ -150,25 +153,23 @@ def mult_bound_check(perm_sq, error_term, lower_bound, g, p_tilde):
     perm_sq / ((1 + 2|E|/L) g) < p_tilde < perm_sq (1 + 2|E|/L) g.
     Every intermediate inequality is checked numerically.
     """
-    if not g > 1:
-        raise ValueError(f"multiplicative factor must exceed 1, got {g}")
+    if not 1 < g < math.inf:
+        raise ValueError(f"multiplicative factor must exceed 1 and be finite, got {g}")
     if not lower_bound > 0:
         raise ValueError(f"lower bound must be positive, got {lower_bound}")
     if perm_sq < lower_bound:
         raise ValueError(f"perm_sq {perm_sq} is below its lower bound {lower_bound}")
-    ratio = abs(error_term) / lower_bound
+    abs_e = abs(error_term)
+    ratio = abs_e / lower_bound
     if ratio >= 0.5:
         return BoundCheck(applicable=False, g_prime=None, passed=False)
-    abs_e = abs(error_term)
+    g_prime = (1 + 2 * ratio) * g
     links = {
         "input_bound": (perm_sq + error_term) / g < p_tilde < (perm_sq + error_term) * g,
         "absolute_bound": (perm_sq - abs_e) / g < p_tilde < (perm_sq + abs_e) * g,
         "relative_bound": perm_sq * (1 - ratio) / g < p_tilde < perm_sq * (1 + ratio) * g,
-        "multiplicative_bound": perm_sq / ((1 + 2 * ratio) * g)
-        < p_tilde
-        < perm_sq * (1 + 2 * ratio) * g,
+        "multiplicative_bound": perm_sq / g_prime < p_tilde < perm_sq * g_prime,
     }
-    g_prime = (1 + 2 * ratio) * g
     return BoundCheck(applicable=True, g_prime=g_prime, passed=all(links.values()))
 
 
@@ -191,9 +192,9 @@ def build_estimate_report(u, photons, t, p_tilde, lower_bound=None, g=1.1):
     the linear part of the deviation and E is the remainder at t. The
     default lower bound is the true squared permanent itself. The widened
     factor g' comes from mult_bound_check and is infinite where the chain does
-    not apply (|E|/L >= 1/2). Inputs that break the chain's premises (g <= 1,
-    L <= 0, L > |Per|^2, and so a zero permanent with the default L) raise
-    ValueError.
+    not apply (|E|/L >= 1/2). Inputs that break the chain's premises (g <= 1
+    or infinite, L <= 0, L > |Per|^2, and so a zero permanent with the
+    default L) raise ValueError.
     """
     t_grid = np.geomspace(t, min(16 * t, 0.1), 6)
     sweep = deviation_sweep(u, photons, t_grid)

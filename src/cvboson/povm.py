@@ -46,7 +46,8 @@ def prcv_povm_diag(ancilla_n, big_r, k):
 
 def cvn_povm_element(ancilla_n, alpha, cutoff):
     """CV-n element (1/2pi) D(alpha)|n><n|D+(alpha), truncated at `cutoff`:
-    a (cutoff + 1, cutoff + 1) complex array.
+    a (cutoff + 1, cutoff + 1) complex array, or for an array of alphas a
+    stack of them, shaped alpha.shape + (cutoff + 1, cutoff + 1).
 
     Rank one by construction; entry (j, k) is
     (1/2pi) <j|D(alpha)|n> conj(<k|D(alpha)|n>). With this normalization the
@@ -56,8 +57,8 @@ def cvn_povm_element(ancilla_n, alpha, cutoff):
     """
     if cutoff < ancilla_n:
         raise ValueError(f"cutoff {cutoff} must cover the ancilla level {ancilla_n}")
-    v = np.array([displacement_element(j, ancilla_n, alpha) for j in range(cutoff + 1)])
-    return np.outer(v, v.conj()) / (2.0 * np.pi)
+    v = np.stack([displacement_element(j, ancilla_n, alpha) for j in range(cutoff + 1)], -1)
+    return v[..., :, None] * v[..., None, :].conj() / (2.0 * np.pi)
 
 
 def dprcv1_povm(t, cutoff):
@@ -77,13 +78,13 @@ def detector_curves(t_grid):
 
     Returns an (n, 3) array of rows (t, eta(t), p_dark(t)) where
     eta(t) = 1 - e^{-t}(1 + t^2) and p_dark(t) = 1 - e^{-t}(1 + t).
-    The two curves cross at t = 1.
+    The two curves cross at t = 1; a negative, NaN or infinite t raises ValueError.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
-    if np.any(t < 0):
-        raise ValueError("thresholds must be non-negative")
+    if not np.all((t >= 0) & (t < np.inf)):  # so a NaN fails too
+        raise ValueError("thresholds must be non-negative and finite")
     return np.column_stack([t, detector_efficiency(t), dark_count_probability(t)])
 
 
@@ -119,13 +120,12 @@ def prcv_completeness_residual(ancilla_n, cutoff, r_max):
 def prcv_phase_average(ancilla_n, big_r, cutoff, n_theta=2048):
     """Grid average over the oscillator phase of the CV-n element at radius sqrt(R).
 
-    Averages 2pi * cvn_povm_element(n, sqrt(R) e^{i theta}, cutoff) over a
-    uniform theta grid; returns a (cutoff + 1, cutoff + 1) complex array. The
-    result should be Fock-diagonal with diagonal prcv_povm_diag(n, R, k); both
-    facts are what the callers verify.
+    2pi times the mean of the cvn_povm_element stack at sqrt(R) e^{i theta}
+    over a uniform grid of n_theta angles; returns a (cutoff + 1, cutoff + 1)
+    complex array. The result should be Fock-diagonal with diagonal
+    prcv_povm_diag(n, R, k); both facts are what the callers verify.
     """
-    if cutoff < ancilla_n:
-        raise ValueError(f"cutoff {cutoff} must cover the ancilla level {ancilla_n}")
     alphas = math.sqrt(big_r) * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
-    v = np.array([displacement_element(j, ancilla_n, alphas) for j in range(cutoff + 1)])
-    return v @ v.conj().T / n_theta
+    stack = cvn_povm_element(ancilla_n, alphas, cutoff)
+    # a contiguous last axis is summed pairwise: ~100x less rounding than axis 0
+    return 2.0 * np.pi * np.moveaxis(stack, 0, -1).copy().mean(axis=-1)

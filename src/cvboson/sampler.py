@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .distribution import amplitude_table, click_rows, distribution_table
-from .errors import check_size, check_threshold
+from .errors import check_size
 from .fock import check_unitary
 from .povm import prcv_povm_diag
 from .rng import shot_uniforms
@@ -128,11 +128,10 @@ def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     the click-table size limits.
     """
     _check_counts(shots, threads)
-    t = check_threshold(t)
     table = distribution_table(u, photons, t)
     modes = table.modes
     respond = lambda index, _: click_rows(index, modes)  # noqa: E731
-    return _draw("dprcv1", table.probabilities(), 1, respond, shots, seed, threads, modes, t=t)
+    return _draw("dprcv1", table.probs, 1, respond, shots, seed, threads, modes, t=table.t)
 
 
 # Radius starts come from G on this fixed grid, dense at small R; G(64, k)

@@ -104,15 +104,19 @@ def g_function(t, k):
     return value if np.ndim(t) else float(value[0])
 
 
+# e^{-t} is 0 beyond this t, where t^2 is still finite: a t clamped here gives 1, not inf * 0
+_EXP_UNDERFLOW_T = 800.0
+
+
 def detector_efficiency(t):
-    """Click probability on a single photon: eta(t) = 1 - e^{-t} (1 + t^2)."""
-    t = np.asarray(t, dtype=float)
+    """Click probability on a single photon: eta(t) = 1 - e^{-t} (1 + t^2); 1 at t = inf."""
+    t = np.minimum(np.asarray(t, dtype=float), _EXP_UNDERFLOW_T)
     value = 1.0 - np.exp(-t) * (1.0 + t * t)
     return value if value.ndim else float(value)
 
 
 def dark_count_probability(t):
-    """Click probability on vacuum: p_D(t) = 1 - e^{-t} (1 + t)."""
-    t = np.asarray(t, dtype=float)
+    """Click probability on vacuum: p_D(t) = 1 - e^{-t} (1 + t); 1 at t = inf."""
+    t = np.minimum(np.asarray(t, dtype=float), _EXP_UNDERFLOW_T)
     value = 1.0 - np.exp(-t) * (1.0 + t)
     return value if value.ndim else float(value)

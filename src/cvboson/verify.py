@@ -2,7 +2,8 @@
 
 Each check re-derives an expected value through an independent route
 (closed forms, naive permanent sums, grid averages, sampling statistics)
-and compares it against the shipped implementation at a fixed tolerance.
+and compares it against the shipped implementation at a fixed tolerance;
+the amplitudes checked are amplitude_table's, which every command uses.
 The quick level runs in a few seconds. The full level enlarges sizes, seed
 counts, and shot counts, and is the acceptance gate: tests/test_acceptance.py
 runs it and asserts every check by name.
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import (
+    amplitude_table,
     click_index,
     density_cv,
     distribution_table,
@@ -23,7 +25,7 @@ from .distribution import (
     prob_dprcv,
 )
 from .estimate import deviation_sweep, mult_bound_check
-from .fock import enumerate_fock_patterns, fock_amplitude, haar_unitary, submatrix_with_multiplicity
+from .fock import haar_unitary, submatrix_with_multiplicity
 from .permanent import permanent_naive, permanent_ryser, permanent_ryser_batch
 from .povm import (
     detector_curves,
@@ -80,14 +82,10 @@ def _check_haar_determinism(full):
 
 def _check_amplitude_normalization(full):
     worst = 0.0
-    seeds = range(20 if full else 5)
-    for seed in seeds:
+    for seed in range(20 if full else 5):
         modes, photons = 3 + seed % 4, 1 + seed % 3
-        u = haar_unitary(modes, seed)
-        total = sum(
-            abs(fock_amplitude(u, p)) ** 2 for p in enumerate_fock_patterns(modes, photons)
-        )
-        worst = max(worst, abs(total - 1))
+        _, amps = amplitude_table(haar_unitary(modes, seed), photons)
+        worst = max(worst, abs(sum(abs(a) ** 2 for a in amps.tolist()) - 1))
     return worst <= 1e-10, f"max |sum - 1| = {worst:.2e}"
 
 
@@ -96,11 +94,11 @@ def _check_amplitude_against_naive_permanent(full):
     worst = 0.0
     for modes, photons, seed in cases + (_EXACTNESS_CASES if full else []):
         u = haar_unitary(modes, seed)
-        for pattern in enumerate_fock_patterns(modes, photons):
+        occ, amps = amplitude_table(u, photons)
+        for pattern, amp in zip(occ.tolist(), amps.tolist()):
             sub = submatrix_with_multiplicity(u, pattern)
             norm = math.sqrt(math.prod(math.factorial(n) for n in pattern))
-            expected = permanent_naive(sub) / norm
-            worst = max(worst, abs(fock_amplitude(u, pattern) - expected))
+            worst = max(worst, abs(amp - permanent_naive(sub) / norm))
     return worst <= 1e-10, f"max amplitude defect = {worst:.2e}"
 
 
@@ -209,8 +207,9 @@ def _check_click_probability_by_quadrature(full):
 
 def _check_hom(full):
     bs = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    amp11 = abs(fock_amplitude(bs, (1, 1))) ** 2
-    bunched = max(abs(abs(fock_amplitude(bs, p)) ** 2 - 0.5) for p in ((2, 0), (0, 2)))
+    _, amps = amplitude_table(bs, 2)  # patterns (2, 0), (1, 1), (0, 2)
+    first, amp11, last = (abs(a) ** 2 for a in amps.tolist())
+    bunched = max(abs(first - 0.5), abs(last - 0.5))
     t = np.array([0.05, 0.07, 0.2, 0.7])
     coincidence = np.abs(
         prob_dprcv(bs, (1, 1), t, 2) - g_function(t, 0) * g_function(t, 2)
@@ -263,9 +262,8 @@ def _check_sampler_determinism(full):
 def _check_sampler_tv(full):
     modes, photons = (6, 3) if full else (4, 2)
     u = haar_unitary(modes, 33)
-    patterns = enumerate_fock_patterns(modes, photons)
-    probs = [abs(fock_amplitude(u, p)) ** 2 for p in patterns]
-    tv = empirical_tv(sample_fock(u, photons, 100_000, 7).outcomes, patterns, probs)
+    patterns, amps = amplitude_table(u, photons)
+    tv = empirical_tv(sample_fock(u, photons, 100_000, 7).outcomes, patterns, np.abs(amps) ** 2)
     return tv <= 0.01, f"TV = {tv:.4f} at 100000 shots"
 
 

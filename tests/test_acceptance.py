@@ -1,9 +1,10 @@
 """Acceptance gate: `cvboson verify --level full`, run once and asserted per check and
-per criterion within its wall-clock budget (`pytest -s` prints the PASS lines)."""
+per criterion within its wall-clock budget (`pytest -s` prints the PASS lines); and
+the route of the checks that test the product's amplitudes."""
 
 import pytest
 
-from cvboson import verify
+from cvboson import distribution, verify
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +58,24 @@ def test_criterion_7_bound_chain(results):
 
 def test_criterion_8_hong_ou_mandel(results):
     _criterion(results, 8, float("inf"), "hong-ou-mandel")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verify._check_amplitude_normalization, verify._check_amplitude_against_naive_permanent,
+     verify._check_hom, verify._check_sampler_tv],
+)
+def test_amplitude_checks_read_the_amplitude_table(check, monkeypatch):
+    # the checks test the amplitudes the product computes, not a per-pattern path
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return distribution.amplitude_table(*args)
+
+    monkeypatch.setattr(verify, "amplitude_table", counted, raising=False)
+    monkeypatch.setattr(verify, "fock_amplitude", lambda *args: pytest.fail("fock_amplitude"),
+                        raising=False)
+    passed, detail = check(False)
+    assert passed, detail
+    assert calls

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -510,8 +511,10 @@ _BEAM_SPLITTER = np.array([[1, 1], [1, -1]]) / np.sqrt(2)  # |Per|^2 = 0 at two 
         (haar_unitary(4, 5), ["--lower-bound", "1000"], "is below its lower bound"),
         (haar_unitary(4, 5), ["--g", "0.5"], "multiplicative factor must exceed 1"),
         (_BEAM_SPLITTER, [], "lower bound must be positive, got 0.0"),
+        (haar_unitary(4, 5), ["--g", "inf"], "multiplicative factor must exceed 1 and be finite"),
     ],
-    ids=["zero-L", "negative-L", "L-above-perm-sq", "g-below-one", "zero-permanent"],
+    ids=["zero-L", "negative-L", "L-above-perm-sq", "g-below-one", "zero-permanent",
+         "g-infinite"],
 )
 def test_invalid_report_input_is_usage_error(u, flags, message, tmp_path, capsys):
     # the report is built before either file is written, so a failure leaves neither
@@ -603,6 +606,36 @@ def test_exact_dist_rejects_infinite_threshold(tmp_path, capsys):
     main(["gen-unitary", "--modes", "2", "--seed", "5", "--out", str(upath)])
     assert main(["exact-dist", "--unitary", str(upath), "--photons", "1", "--t", "inf"]) == 1
     assert "positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_non_finite_curve_range_is_usage_error(t_max, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["detector-curves", "--t-max", t_max, "--out", str(out)]) == 1
+    assert "thresholds must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "photons,t_min,cause",
+    [("4", "1e-80", "t = 1e-80 is too small: t^4 = 1e-320"),
+     ("3", "1e-110", "t = 1e-110 is too small: t^3 = 0")],
+    ids=["subnormal", "zero"],
+)
+def test_sweep_threshold_below_normal_doubles_is_usage_error(photons, t_min, cause, tmp_path,
+                                                             capsys):
+    # at these thresholds t^N (and the click probability) underflow to
+    # subnormal or zero doubles, so P / t^N would carry no correct digit
+    upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    main(["gen-unitary", "--modes", "6", "--seed", "3", "--out", str(upath)])
+    argv = ["sweep-t", "--unitary", str(upath), "--photons", photons, "--t-min", t_min,
+            "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert cause in err and "below the smallest normal double" in err
+    assert not out.exists()
 
 
 def test_sweep_beyond_pattern_limit_is_guard_violation(tmp_path, capsys):

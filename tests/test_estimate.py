@@ -132,7 +132,7 @@ class TestFrequencyEstimator:
     def test_single_mode_identity(self):
         t = 0.01
         batch = sample_dprcv1(np.eye(1), 1, t, 1_000_000, 61)
-        estimate = estimate_perm_from_samples(batch, t, 1)
+        estimate = estimate_perm_from_samples(batch, 1)
         exact = prob_dprcv(np.eye(1), (1,), t, 1) / t
         # independent closed form: (1 - e^{-t}(1 + t^2)) / t at t = 0.01
         assert exact == pytest.approx(0.985116126745703, abs=1e-12)
@@ -142,7 +142,7 @@ class TestFrequencyEstimator:
         bs = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         t = 0.01
         batch = sample_dprcv1(bs, 2, t, 100_000, 67)
-        estimate = estimate_perm_from_samples(batch, t, 2)
+        estimate = estimate_perm_from_samples(batch, 2)
         assert estimate.value == 0.0
         assert estimate.hits == 0
         assert estimate.one_sided_upper == pytest.approx(3.0 / 100_000 / t**2)
@@ -151,7 +151,7 @@ class TestFrequencyEstimator:
         u = haar_unitary(4, 71)
         t = 0.01
         batch = sample_dprcv1(u, 2, t, 1_000_000, 73)
-        estimate = estimate_perm_from_samples(batch, t, 2)
+        estimate = estimate_perm_from_samples(batch, 2)
         exact = prob_dprcv(u, (1, 1, 0, 0), t, 2) / t**2
         assert abs(estimate.value - exact) <= 5 * estimate.stderr
 
@@ -162,33 +162,28 @@ class TestFrequencyEstimator:
         previous_bound = None
         for shots in (10_000, 100_000, 1_000_000):
             batch = sample_dprcv1(u, 2, t, shots, 83)
-            estimate = estimate_perm_from_samples(batch, t, 2)
+            estimate = estimate_perm_from_samples(batch, 2)
             assert estimate.hits > 0
             assert abs(estimate.value - exact) <= 5 * estimate.stderr
             if previous_bound is not None:
                 assert estimate.stderr < previous_bound
             previous_bound = estimate.stderr
 
-    def test_threshold_mismatch_rejected(self):
-        batch = sample_dprcv1(np.eye(1), 1, 0.01, 100, 3)
-        with pytest.raises(ValueError, match="does not match"):
-            estimate_perm_from_samples(batch, 0.02, 1)
-
     def test_non_dprcv1_batch_rejected(self):
         batch = sample_fock(np.eye(1), 1, 100, 3)
         with pytest.raises(ValueError, match="expected a dprcv1 batch"):
-            estimate_perm_from_samples(batch, 0.01, 1)
+            estimate_perm_from_samples(batch, 1)
 
     def test_empty_batch_rejected(self):
         batch = sample_dprcv1(haar_unitary(3, 1), 2, 0.1, 0, 1)
         with pytest.raises(ValueError, match="no shots"):
-            estimate_perm_from_samples(batch, 0.1, 2)
+            estimate_perm_from_samples(batch, 2)
 
     @pytest.mark.parametrize("photons", [-1, 5])
     def test_photon_count_checked_before_the_target_pattern(self, photons):
         batch = sample_dprcv1(haar_unitary(4, 5), 2, 0.1, 100, 1)
         with pytest.raises(InvalidPatternError, match="photons must be >= 0 and <= M"):
-            estimate_perm_from_samples(batch, 0.1, photons)
+            estimate_perm_from_samples(batch, photons)
 
 
 class TestBoundChain:
@@ -251,7 +246,7 @@ class TestEndToEndMultiplicativeEstimate:
         error_term = exact_ratio - perm_sq  # everything beyond |Per|^2 at this t
 
         batch = sample_dprcv1(u, photons, t, 1_000_000, 73)
-        estimate = estimate_perm_from_samples(batch, t, photons)
+        estimate = estimate_perm_from_samples(batch, photons)
         assert estimate.hits > 500
         p_tilde = estimate.value
 

@@ -264,6 +264,12 @@ class TestPrcvDiag:
                     prcv_povm_diag(1, big_r, k), abs=1e-8
                 )
 
+    def test_phase_average_is_the_mean_of_the_cv_element_stack(self):
+        alphas = math.sqrt(1.3) * np.exp(2j * np.pi * np.arange(64) / 64)
+        stack = cvn_povm_element(1, alphas, 9)
+        np.testing.assert_allclose(prcv_phase_average(1, 1.3, 9, n_theta=64),
+                                   2 * np.pi * stack.mean(axis=0), rtol=0, atol=1e-15)
+
 
 class TestCvElement:
     def test_zero_displacement_projects_on_ancilla(self):
@@ -317,6 +323,15 @@ class TestCvElement:
         with pytest.raises(ValueError):
             cvn_povm_element(3, 0.1, 2)
 
+    def test_array_of_alphas_gives_the_stack_of_elements(self):
+        alphas = np.array([[0.0, 0.6 - 0.2j, -1.1j], [2.0, 0.3 + 0.3j, -0.05]])
+        for n in (0, 1, 2):
+            stack = cvn_povm_element(n, alphas, 8)
+            assert stack.shape == (2, 3, 9, 9)
+            for index in np.ndindex(alphas.shape):
+                np.testing.assert_allclose(stack[index], cvn_povm_element(n, alphas[index], 8),
+                                           rtol=0, atol=1e-15)
+
 
 class TestDiscretizedPovm:
     def test_click_plus_no_click_is_identity(self):
@@ -366,6 +381,18 @@ class TestDetectorCurves:
     def test_rejects_negative_grid(self):
         with pytest.raises(ValueError):
             detector_curves(np.array([-0.1, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            detector_curves(np.array([0.5, bad]))
+
+    def test_thresholds_where_the_exponential_underflows_give_one(self):
+        # 1e200 squared overflows, and e^{-t} inf would be NaN
+        table = detector_curves([0, 1e200, 1.7e308])
+        assert np.isfinite(table).all()
+        assert table[1:, 1:].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert detector_efficiency(math.inf) == dark_count_probability(math.inf) == 1.0
 
 
 class TestCompleteness:
