@@ -21,7 +21,12 @@ import numpy as np
 
 from .distribution import click_rows, distribution_table
 from .errors import GuardLimitError, InvariantViolation, check_size
-from .estimate import build_estimate_report, deviation_sweep, estimate_perm_from_samples
+from .estimate import (
+    build_estimate_report,
+    check_sweep_thresholds,
+    deviation_sweep,
+    estimate_perm_from_samples,
+)
 from .fock import haar_unitary
 from .io import fmt17, read_unitary_json, write_csv, write_json, write_unitary_json
 from .povm import detector_curves
@@ -106,35 +111,74 @@ def _table_lines(table, end):
         yield _float_lines(f"%s,%.17g{end}", [patterns, block])
 
 
-def _digit_lines(first, values, sep):
-    """`shot,outcome` CSV lines for rows of single-digit counts, built as bytes.
-
-    Each line is laid out in a fixed-width uint8 row: the shot number right
-    aligned in a field padded with NUL bytes, the outcome digits (joined by
-    commas and quoted when `sep`, as the csv module quotes a comma-holding
-    cell), then CRLF. Dropping the NUL padding leaves the lines back to back.
-    """
-    count, width = values.shape
-    shots = np.arange(first, first + count)
-    places = len(str(first + count - 1))
-    quote = sep and width > 1
-    cell = 2 * width - 1 if quote else width
-    line = np.zeros((count, places + 1 + quote * 2 + cell + 2), dtype=np.uint8)
-    for place in range(places):
-        power = 10 ** (places - 1 - place)
-        digit = (shots // power) % 10 + ord("0")
-        line[:, place] = np.where((shots >= power) | (power == 1), digit, 0)
-    line[:, places] = ord(",")
-    start = places + 1 + quote
+def _pattern_cells(patterns, sep):
+    """The `,outcome` CRLF bytes of each pattern row, as one fixed-width uint8
+    row per pattern: a comma, the row's single digits (joined by commas and
+    quoted when `sep`, as the csv module quotes a comma-holding cell), CRLF."""
+    count, modes = patterns.shape
+    quote = sep and modes > 1
+    cell = 2 * modes - 1 if quote else modes
+    cells = np.empty((count, 1 + quote * 2 + cell + 2), dtype=np.uint8)
+    cells[:, 0] = ord(",")
+    cells[:, -2:] = (ord("\r"), ord("\n"))
     if quote:
-        line[:, start - 1] = line[:, start + cell] = ord('"')
-        line[:, start + 1 : start + cell : 2] = ord(",")
-        line[:, start : start + cell : 2] = values + ord("0")
-    else:
-        line[:, start : start + cell] = values + ord("0")
-    line[:, -2:] = (ord("\r"), ord("\n"))
-    flat = line.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+        cells[:, 1] = cells[:, -3] = ord('"')
+        cells[:, 3 : 2 + cell : 2] = ord(",")
+    cells[:, 1 + quote : 1 + quote + cell : 1 + quote] = patterns + ord("0")
+    return cells
+
+
+def _windows(width, size):
+    """Offsets of `size`-byte windows that cover `width` bytes: every `size`
+    bytes, the last one flush with the end (overlapping its neighbour when
+    `size` does not divide `width`), and one at 0 when `width` < `size`."""
+    return sorted({*range(0, width - size, size), max(width - size, 0)})
+
+
+def _word_columns(rows):
+    """A (count, width >= 4) uint8 table as (offset, words) columns, words[i]
+    holding the bytes rows[i, offset : offset + 8] (4 under 8 bytes) as one
+    integer, so that rows are copied a machine word at a time."""
+    size = 8 if rows.shape[1] >= 8 else 4
+    dtype = np.dtype(f"u{size}")
+    return [(offset, np.ascontiguousarray(rows[:, offset : offset + size]).view(dtype)[:, 0])
+            for offset in _windows(rows.shape[1], size)]
+
+
+def _put(lines, offset, words):
+    """Write words[i] to the bytes of line i from `offset` on."""
+    lines[:, offset : offset + words.itemsize].view(words.dtype)[:, 0] = words
+
+
+def _indexed_lines(first, index, cells, quads):
+    """`shot,outcome` CSV text of the shots first, first + 1, ...: each line is
+    the shot number followed by the cell of that shot's pattern index.
+
+    cells are the pattern cells as _word_columns and quads the digits of
+    0000..9999 as 4-byte words. The shots of one decimal width are laid out as
+    one block of fixed-width uint8 lines, written a word column at a time: the
+    digits four at a time, then the cell's words gathered by index, which
+    overwrite any digit window that runs past a short shot number.
+    """
+    width = cells[-1][0] + cells[-1][1].itemsize
+    text, shot, end = [], first, first + len(index)
+    while shot < end:
+        places = len(str(shot))
+        stop = min(end, 10**places)
+        numbers = np.arange(shot, stop)
+        lines = np.empty((stop - shot, places + width), dtype=np.uint8)
+        for offset in _windows(places, 4):
+            shift = places - 4 - offset  # < 0 below 1000: the digits left-aligned
+            digits = numbers // 10**shift if shift > 0 else numbers * 10**-shift
+            if offset:  # keep the low four digits; faster than % 10000
+                digits -= digits // 10000 * 10000
+            _put(lines, offset, quads[digits])
+        run = index[shot - first : stop - first]
+        for offset, words in cells:
+            _put(lines, places + offset, words[run])
+        text.append(str(lines.data, "ascii"))
+        shot = stop
+    return "".join(text)
 
 
 def _float_lines(line, columns):
@@ -149,17 +193,23 @@ def _outcome_lines(batch):
 
     dprcv1 outcomes are 0/1 strings, fock outcomes comma-joined occupations,
     prcv1 outcomes comma-joined radii and cv1 outcomes comma-joined re/im
-    pairs; the bytes are those csv.writer gives for these cells. Occupations
-    are single digits because the fock sampler is guarded at N <= 4 photons.
+    pairs; the bytes are those csv.writer gives for these cells. The cells of
+    the discrete kinds (dprcv1, fock) are rendered once per pattern, and each
+    line gathers the cell of its drawn index. Occupations are single digits
+    because the fock sampler is guarded at N <= 4 photons.
     """
+    if batch.patterns is not None:
+        cells = _word_columns(_pattern_cells(batch.patterns, sep=batch.kind == "fock"))
+        digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+        quads = np.stack(np.meshgrid(*[digit] * 4, indexing="ij"), -1).view(np.uint32).ravel()
+        for first, index in batch.blocks():
+            yield _indexed_lines(first, index, cells, quads)
+        return
     for first, rows in batch.blocks():
-        if batch.kind in ("dprcv1", "fock"):
-            yield _digit_lines(first, rows, sep=batch.kind == "fock")
-        else:
-            values = rows.view(np.float64) if batch.kind == "cv1" else rows
-            cell = ",".join(["%.17g"] * values.shape[1])
-            line = f'%d,"{cell}"\r\n' if values.shape[1] > 1 else f"%d,{cell}\r\n"
-            yield _float_lines(line, [np.arange(first, first + len(values)), *values.T])
+        values = rows.view(np.float64) if batch.kind == "cv1" else rows
+        cell = ",".join(["%.17g"] * values.shape[1])
+        line = f'%d,"{cell}"\r\n' if values.shape[1] > 1 else f"%d,{cell}\r\n"
+        yield _float_lines(line, [np.arange(first, first + len(values)), *values.T])
 
 
 def _cmd_sample(args):
@@ -186,6 +236,7 @@ def _cmd_sweep_t(args):
     if args.seed is not None and not args.shots:
         raise UsageError("--seed is only read with a nonzero --shots")
     check_size("threshold points", args.points)
+    check_sweep_thresholds([args.t_min, args.t_max])  # before the grid, which would warn
     u, u_meta = read_unitary_json(args.unitary)
     t_grid = np.geomspace(args.t_min, args.t_max, args.points)
     sweep = deviation_sweep(u, args.photons, t_grid)
@@ -220,9 +271,9 @@ def _cmd_sweep_t(args):
 
 def _cmd_detector_curves(args):
     check_size("threshold points", args.points)
-    with np.errstate(invalid="ignore"):  # --t-max inf: 0 * inf; detector_curves rejects NaN
-        grid = np.linspace(0.0, args.t_max, args.points)
-    table = detector_curves(grid)
+    if not 0 <= args.t_max < np.inf:  # as detector_curves checks its grid, even an empty one
+        raise ValueError("thresholds must be non-negative and finite")
+    table = detector_curves(np.linspace(0.0, args.t_max, args.points))
     meta = _csv_meta(args, t_max=args.t_max, points=args.points)
     lines = _float_lines("%.17g,%.17g,%.17g\r\n", table.T)
     write_csv(args.out, ["t", "eta", "p_dark"], [lines], meta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _click_probabilities, amplitude_table
+from .distribution import _click_probabilities, amplitude_table, click_index
 from .fock import check_photons
 
 DEGENERATE_PERM_SQ = 1e-12
@@ -35,6 +35,13 @@ def t_from_bits(bits_b):
 
 def _target_pattern(modes, photons):
     return (1,) * photons + (0,) * (modes - photons)
+
+
+def check_sweep_thresholds(t_values):
+    """Raise ValueError unless every threshold lies in (0, 0.1], the sweep's range."""
+    t = np.asarray(t_values, dtype=float)
+    if not np.all((t > 0) & (t <= 0.1)):  # so a NaN fails too
+        raise ValueError("thresholds must lie in (0, 0.1]")
 
 
 @dataclass(frozen=True)
@@ -65,8 +72,7 @@ def deviation_sweep(u, photons, t_list):
     t_values = np.asarray(t_list, dtype=float)
     if t_values.size < 4:
         raise ValueError("need at least 4 threshold points")
-    if not np.all((t_values > 0) & (t_values <= 0.1)):  # so a NaN fails too
-        raise ValueError("thresholds must lie in (0, 0.1]")
+    check_sweep_thresholds(t_values)
     occ, amps = amplitude_table(u, photons)
     pattern = _target_pattern(occ.shape[1], photons)
     row = np.flatnonzero((occ == pattern).all(axis=1))[0]
@@ -110,8 +116,9 @@ def estimate_perm_from_samples(batch, photons):
     """Estimate |Per|^2 as (empirical frequency of the first-N-clicks pattern) / t^N.
 
     The batch must come from the discretized sampler; t is its threshold
-    batch.t. With zero observed events the estimate is 0 with a one-sided 95%
-    upper bound (rule of three); a batch with no shots is rejected.
+    batch.t, and a hit is a drawn table index equal to the pattern's. With
+    zero observed events the estimate is 0 with a one-sided 95% upper bound
+    (rule of three); a batch with no shots is rejected.
     """
     if batch.kind != "dprcv1":
         raise ValueError(f"expected a dprcv1 batch, got {batch.kind!r}")
@@ -119,8 +126,8 @@ def estimate_perm_from_samples(batch, photons):
     if shots == 0:
         raise ValueError("batch has no shots")
     check_photons(photons, batch.modes)
-    target = np.asarray(_target_pattern(batch.modes, photons))
-    hits = sum(int((rows == target).all(axis=1).sum()) for _, rows in batch.blocks())
+    target = click_index(_target_pattern(batch.modes, photons))
+    hits = sum(int(np.count_nonzero(index == target)) for _, index in batch.blocks())
     scale = batch.t**photons
     freq = hits / shots
     if hits == 0:

@@ -117,15 +117,24 @@ def prcv_completeness_residual(ancilla_n, cutoff, r_max):
     return residuals
 
 
+# Angles per cvn_povm_element stack in prcv_phase_average: this bounds its
+# memory at any grid size.
+_PHASE_BLOCK = 256
+
+
 def prcv_phase_average(ancilla_n, big_r, cutoff, n_theta=2048):
     """Grid average over the oscillator phase of the CV-n element at radius sqrt(R).
 
     2pi times the mean of the cvn_povm_element stack at sqrt(R) e^{i theta}
-    over a uniform grid of n_theta angles; returns a (cutoff + 1, cutoff + 1)
-    complex array. The result should be Fock-diagonal with diagonal
-    prcv_povm_diag(n, R, k); both facts are what the callers verify.
+    over a uniform grid of n_theta angles, built _PHASE_BLOCK angles at a
+    time; returns a (cutoff + 1, cutoff + 1) complex array. The result should
+    be Fock-diagonal with diagonal prcv_povm_diag(n, R, k); both facts are
+    what the callers verify.
     """
     alphas = math.sqrt(big_r) * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
-    stack = cvn_povm_element(ancilla_n, alphas, cutoff)
-    # a contiguous last axis is summed pairwise: ~100x less rounding than axis 0
-    return 2.0 * np.pi * np.moveaxis(stack, 0, -1).copy().mean(axis=-1)
+    total = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for first in range(0, n_theta, _PHASE_BLOCK):
+        stack = cvn_povm_element(ancilla_n, alphas[first : first + _PHASE_BLOCK], cutoff)
+        # a contiguous last axis is summed pairwise: ~100x less rounding than axis 0
+        total += np.moveaxis(stack, 0, -1).copy().sum(axis=-1)
+    return 2.0 * np.pi * total / n_theta

@@ -4,6 +4,8 @@ Every sampler draws shot i from a counter-based stream keyed by (seed, i)
 (see cvboson.rng), so batches are reproducible bit-for-bit however the shot
 range is split into blocks and threads. All four share one draw: uniform 0
 picks a table index, and the shot's other uniforms feed a per-mode response.
+The discrete kinds (fock, dprcv1) have no response: a shot is its table
+index, an entry of the batch's pattern table.
 """
 
 import math
@@ -27,11 +29,15 @@ from .special import g_function
 class SampleBatch:
     """Reproducible batch of measurement outcomes, drawn on demand.
 
-    Each blocks() call draws the shots anew and yields (first shot, rows) per
-    block. outcomes holds one row per shot, drawn on first access and guarded
-    by the "sample outcome values" size limit: occupation vectors (fock), 0/1
-    click vectors (dprcv1), non-negative radii (prcv1), or complex amplitudes
-    (cv1). t is the click threshold of a dprcv1 batch and None otherwise.
+    patterns is the read-only (P, M) int64 table of a discrete kind's
+    outcomes: the occupation patterns of the amplitude table (fock) or the
+    2^M rows click_rows(i, M) (dprcv1); it is None for prcv1 and cv1. Each
+    blocks() call draws the shots anew and yields (first shot, values) per
+    block: the drawn pattern indices of a discrete kind, else outcome rows.
+    outcomes holds one row per shot, drawn on first access and guarded by the
+    "sample outcome values" size limit: occupation vectors (fock), 0/1 click
+    vectors (dprcv1), non-negative radii (prcv1), or complex amplitudes (cv1).
+    t is the click threshold of a dprcv1 batch and None otherwise.
     """
 
     seed: int
@@ -40,11 +46,13 @@ class SampleBatch:
     shots: int
     modes: int
     blocks: Callable
+    patterns: np.ndarray | None = None
 
     @cached_property
     def outcomes(self):
         check_size("sample outcome values", self.shots * self.modes)
-        return np.concatenate([rows for _, rows in self.blocks()])
+        values = np.concatenate([values for _, values in self.blocks()])
+        return values if self.patterns is None else self.patterns[values]
 
 
 def _check_counts(shots, threads):
@@ -73,13 +81,16 @@ def _inverse_cdf_draw(cdf, u):
 _BLOCK_SHOTS = 1 << 14
 
 
-def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None, block=None):
+def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None, block=None,
+          patterns=None):
     """The one sampler core. Shot i reads per_shot uniforms of stream (seed, i):
     uniform 0 picks an index into `weights` by inverse CDF, and respond(index,
     rest) maps the indices and the other uniforms to outcome rows of `modes`
-    values. The shots are walked in blocks of at most _BLOCK_SHOTS shots (and
-    at most `block`, if given), shrunk so that every thread gets a block; a
-    0-shot batch is one empty block. Any split gives the same outcomes."""
+    values; with respond None a block's values are the indices themselves,
+    into `patterns` (row i the outcome of index i). The shots are walked in
+    blocks of at most _BLOCK_SHOTS shots (and at most `block`, if given),
+    shrunk so that every thread gets a block; a 0-shot batch is one empty
+    block. Any split gives the same outcomes."""
     cdf = np.cumsum(weights)
     threads = _thread_count(threads, shots)
     block = max(1, min(_BLOCK_SHOTS, block or _BLOCK_SHOTS, -(-shots // threads)))
@@ -87,7 +98,8 @@ def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None,
 
     def draw(first):
         uniforms = shot_uniforms(seed, min(block, shots - first), per_shot, first)
-        return first, respond(_inverse_cdf_draw(cdf, uniforms[:, 0]), uniforms[:, 1:])
+        index = _inverse_cdf_draw(cdf, uniforms[:, 0])
+        return first, index if respond is None else respond(index, uniforms[:, 1:])
 
     def blocks():
         if threads == 1:  # no pool: a worker thread's malloc arena costs memory
@@ -101,7 +113,7 @@ def _draw(kind, weights, per_shot, respond, shots, seed, threads, modes, t=None,
                 yield from current
             yield from ahead
 
-    return SampleBatch(seed, t, kind, shots, modes, blocks)
+    return SampleBatch(seed, t, kind, shots, modes, blocks, patterns)
 
 
 def _amplitudes(u, photons, shots, threads, kind):
@@ -114,24 +126,28 @@ def _amplitudes(u, photons, shots, threads, kind):
 
 
 def sample_fock(u, photons, shots, seed, threads=1):
-    """I.i.d. occupation patterns from the exact squared-amplitude table."""
+    """I.i.d. occupation patterns from the exact squared-amplitude table; the
+    batch's patterns are the table's occupation rows."""
     patterns, amps = _amplitudes(u, photons, shots, threads, "fock")
     modes = patterns.shape[1]
-    respond = lambda index, _: patterns[index]  # noqa: E731
-    return _draw("fock", np.abs(amps) ** 2, 1, respond, shots, seed, threads, modes)
+    return _draw("fock", np.abs(amps) ** 2, 1, None, shots, seed, threads, modes,
+                 patterns=patterns)
 
 
 def sample_dprcv1(u, photons, t, shots, seed, threads=1):
     """I.i.d. click patterns from the exact 2^M discretized-detector table.
 
-    A drawn table index is decoded to its click row by click_rows. Guarded by
-    the click-table size limits.
+    The batch's patterns are the table's 2^M click rows, built once by
+    click_rows, so a drawn table index is its row's index. Guarded by the
+    click-table size limits.
     """
     _check_counts(shots, threads)
     table = distribution_table(u, photons, t)
     modes = table.modes
-    respond = lambda index, _: click_rows(index, modes)  # noqa: E731
-    return _draw("dprcv1", table.probs, 1, respond, shots, seed, threads, modes, t=table.t)
+    patterns = click_rows(np.arange(table.probs.size), modes)
+    patterns.flags.writeable = False
+    return _draw("dprcv1", table.probs, 1, None, shots, seed, threads, modes, t=table.t,
+                 patterns=patterns)
 
 
 # Radius starts come from G on this fixed grid, dense at small R; G(64, k)

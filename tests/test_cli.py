@@ -16,7 +16,7 @@ import pytest
 
 from cvboson import cli, fock, sampler
 from cvboson.cli import main
-from cvboson.distribution import distribution_table
+from cvboson.distribution import click_rows, distribution_table
 from cvboson.errors import SIZE_LIMITS
 from cvboson.estimate import SweepFit
 from cvboson.fock import haar_unitary
@@ -430,10 +430,10 @@ def test_output_bytes_match_golden_hash(name, tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
 
 
-def _csv_writer_lines(kind, outcomes):
+def _csv_writer_lines(kind, outcomes, first=0):
     """The sample rows as csv.writer renders them, one Python call per cell."""
     rows = []
-    for shot, row in enumerate(outcomes):
+    for shot, row in enumerate(outcomes, first):
         if kind == "dprcv1":
             cell = "".join(str(int(x)) for x in row)
         elif kind == "fock":
@@ -446,6 +446,21 @@ def _csv_writer_lines(kind, outcomes):
     return _csv_writer_text(rows)
 
 
+def _indexed_batch(kind, modes, rng, shots, first=0):
+    """A hand-built discrete batch: a read-only pattern table (the 2^M click
+    rows for dprcv1, random single-digit occupations for fock) and 97-shot
+    blocks of random indices into it, the shots numbered from `first`."""
+    if kind == "dprcv1":
+        patterns = click_rows(np.arange(2**modes), modes)
+    else:
+        patterns = rng.integers(0, 10, (40, modes))
+    patterns.flags.writeable = False
+    index = rng.integers(0, len(patterns), shots)
+    blocks = [(first + start, index[start : start + 97]) for start in range(0, shots, 97)]
+    batch = SampleBatch(0, None, kind, shots, modes, lambda: iter(blocks), patterns)
+    return batch, patterns[index]
+
+
 @pytest.mark.parametrize("kind", ["dprcv1", "fock", "prcv1", "cv1"])
 @pytest.mark.parametrize("modes", [1, 2, 5])
 def test_chunked_outcome_lines_match_csv_writer(kind, modes):
@@ -453,19 +468,29 @@ def test_chunked_outcome_lines_match_csv_writer(kind, modes):
     # across blocks
     rng = np.random.default_rng(modes)
     shots = 1203
-    if kind == "dprcv1":
-        outcomes = rng.integers(0, 2, (shots, modes))
-    elif kind == "fock":
-        outcomes = rng.integers(0, 5, (shots, modes))
+    if kind in ("dprcv1", "fock"):
+        batch, outcomes = _indexed_batch(kind, modes, rng, shots)
     else:
         scale = 10.0 ** rng.integers(-30, 30, (shots, 2 * modes))
         values = rng.standard_normal((shots, 2 * modes)) * scale
         values[0, 0], values[1, -1] = -0.0, 1e308
         outcomes = np.abs(values[:, :modes]) if kind == "prcv1" else values.view(complex)
-    blocks = [(first, outcomes[first : first + 97]) for first in range(0, shots, 97)]
-    batch = SampleBatch(0, None, kind, shots, modes, lambda: iter(blocks))
+        blocks = [(first, outcomes[first : first + 97]) for first in range(0, shots, 97)]
+        batch = SampleBatch(0, None, kind, shots, modes, lambda: iter(blocks))
     lines = "".join(cli._outcome_lines(batch)).splitlines(keepends=True)
     assert lines == _csv_writer_lines(kind, outcomes).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("kind", ["dprcv1", "fock"])
+@pytest.mark.parametrize("first", [9_903, 99_990, 180_224, 9_999_000, 99_999_950])
+def test_indexed_lines_cross_the_four_digit_groups(kind, first):
+    # the shot digits come four at a time: these runs cross 9999 -> 10000 at a
+    # block edge, and 99999 -> 100000, 9999999 -> 10000000 and
+    # 99999999 -> 100000000 inside a block
+    rng = np.random.default_rng(first)
+    batch, outcomes = _indexed_batch(kind, 3, rng, 300, first)
+    lines = "".join(cli._outcome_lines(batch)).splitlines(keepends=True)
+    assert lines == _csv_writer_lines(kind, outcomes, first).splitlines(keepends=True)
 
 
 def test_sample_memory_does_not_grow_with_shots(tmp_path):
@@ -485,6 +510,22 @@ def test_sample_memory_does_not_grow_with_shots(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_dprcv1_sample_builds_its_click_rows_once(tmp_path, monkeypatch):
+    # the drawn indices gather pre-rendered cells, so the 2^M click rows are
+    # built once per batch, not decoded again for each block
+    monkeypatch.setattr(sampler, "_BLOCK_SHOTS", 20)
+    calls = []
+    click_rows = sampler.click_rows
+    monkeypatch.setattr(sampler, "click_rows", lambda *a: calls.append(a) or click_rows(*a))
+    upath = tmp_path / "u.json"
+    write_unitary_json(upath, haar_unitary(4, 5))
+    argv = ["sample", "--unitary", str(upath), "--photons", "2", "--detector", "dprcv1",
+            "--t", "0.1", "--shots", "100", "--seed", "1", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    assert len(_read_csv(tmp_path / "s.csv")[2]) == 100
+    assert len(calls) == 1
 
 
 def test_sweep_report_shots_beyond_outcome_limit(tmp_path, monkeypatch):
@@ -613,6 +654,30 @@ def test_non_finite_curve_range_is_usage_error(t_max, tmp_path, capsys):
     out = tmp_path / "c.csv"
     assert main(["detector-curves", "--t-max", t_max, "--out", str(out)]) == 1
     assert "thresholds must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-1"])
+def test_curve_range_is_checked_whatever_the_point_count(t_max, points, tmp_path, capsys):
+    # an empty or one-point grid never holds t_max, so the flag is checked itself
+    # (test_non_finite_curve_range_is_usage_error covers the default 301 points)
+    out = tmp_path / "c.csv"
+    argv = ["detector-curves", "--t-max", t_max, "--points", points, "--out", str(out)]
+    assert main(argv) == 1
+    assert "thresholds must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--t-max", "inf"), ("--t-min", "inf"),
+                                        ("--t-min", "-1"), ("--t-max", "nan")])
+def test_sweep_range_is_checked_before_its_grid(flag, value, tmp_path, capsys):
+    # the geometric grid of an out-of-range bound would warn (an error here)
+    upath, out = tmp_path / "u.json", tmp_path / "s.csv"
+    main(["gen-unitary", "--modes", "4", "--seed", "3", "--out", str(upath)])
+    argv = ["sweep-t", "--unitary", str(upath), "--photons", "2", flag, value, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: thresholds must lie in (0, 0.1]\n"
     assert not out.exists()
 
 

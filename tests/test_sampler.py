@@ -489,6 +489,27 @@ def test_pool_draws_the_next_window_while_the_caller_holds_one(monkeypatch):
     assert sorted(drawn) == list(range(0, 100, 10))
 
 
+@pytest.mark.parametrize("kind", ["fock", "dprcv1"])
+def test_discrete_blocks_yield_indices_into_a_read_only_pattern_table(kind, monkeypatch):
+    monkeypatch.setattr(sampler_module, "_BLOCK_SHOTS", 64)
+    u = haar_unitary(3, 1)
+    batch = sample_fock(u, 2, 300, 4) if kind == "fock" else sample_dprcv1(u, 2, 0.5, 300, 4)
+    patterns = batch.patterns
+    assert patterns.dtype == np.int64 and not patterns.flags.writeable
+    assert patterns.shape == ((6, 3) if kind == "fock" else (8, 3))
+    index = np.concatenate([values for _, values in batch.blocks()])
+    assert index.dtype.kind == "i" and index.shape == (300,)
+    assert 0 <= index.min() and index.max() < len(patterns)
+    assert batch.outcomes.dtype == np.int64
+    np.testing.assert_array_equal(batch.outcomes, patterns[index])
+
+
+def test_continuous_batches_have_no_pattern_table():
+    u = haar_unitary(3, 1)
+    assert sample_prcv1(u, 2, 10, 0).patterns is None
+    assert sample_cv1(u, 1, 10, 0).patterns is None
+
+
 def test_zero_shots_give_empty_batches():
     u = haar_unitary(3, 1)
     assert sample_fock(u, 2, 0, 0).outcomes.shape == (0, 3)
